@@ -14,6 +14,7 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     LogOfZero,
+    NonFiniteValue,
     NotProbabilitySpace,
     RenyiUndefined,
     SpaceMismatch,
@@ -36,19 +37,87 @@ class DivergenceReport:
 
 
 def _report(space: MeasureSpace, integrand: np.ndarray, hits: int = 0) -> DivergenceReport:
-    return DivergenceReport(
-        value=float(np.dot(integrand, space.weights)),
-        integrand=integrand,
-        convention_hits=hits,
-    )
+    value = float(np.dot(integrand, space.weights))
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"divergence evaluates to {value!r}")
+    return DivergenceReport(value=value, integrand=integrand, convention_hits=hits)
 
 
-def _geometric_product(factors: list, n: int) -> np.ndarray:
-    """prod_i factors[i]^(1/n) per atom, in log-space when safe."""
-    stack = np.stack([np.asarray(f, dtype=float) for f in factors])
-    if np.all(stack > _LOG_FLOOR):
-        return np.exp(np.log(stack).sum(axis=0) / n)
-    return np.prod(stack ** (1.0 / n), axis=0)
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, with typed errors for the two cases
+    Python floats raise on: 0 to a negative power, and overflow."""
+    if base == 0.0 and exponent < 0.0:
+        raise DegenerateExponent("zero raised to a negative power")
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise NonFiniteValue(f"{base!r} ** {exponent!r} overflows") from exc
+
+
+class _Slots:
+    """The per-atom integrands w_i of one call's n slots, each evaluated once.
+
+    log(w_i) and w_i ** (1/n) are computed lazily, at most once per slot.
+    `product(idx)` is the per-atom geometric mean prod_{i in idx} w_i^(1/n)
+    over any n slot indices (repeats allowed), in log-space when every chosen
+    slot is above _LOG_FLOOR. Rows are accumulated in slot order, as numpy's
+    axis-0 reductions of a stacked (n, atoms) array do, so the result matches
+    exp(log(stack).sum(0) / n) and prod(stack ** (1/n), 0) bit for bit. (On a
+    one-atom space with n >= 8, numpy sums the column pairwise instead, and
+    the last bit can differ.)
+    """
+
+    def __init__(self, terms: list, hits: int = 0):
+        self.w = terms
+        self.n = len(terms)
+        self.hits = hits
+        self._safe = [w.min() > _LOG_FLOOR for w in terms]
+        self._log = [None] * self.n
+        self._root = [None] * self.n
+
+    @classmethod
+    def evaluate(cls, slots) -> "_Slots":
+        """Slots from (f, p, q) triples via weighted_terms."""
+        terms, hits = [], 0
+        for f, p, q in slots:
+            w, h = weighted_terms(f, p, q)
+            terms.append(w)
+            hits += h
+        return cls(terms, hits)
+
+    def _cached(self, cache: list, i: int, make):
+        if cache[i] is None:
+            cache[i] = make(self.w[i])
+        return cache[i]
+
+    def root(self, i: int) -> np.ndarray:
+        return self._cached(self._root, i, lambda w: w ** (1.0 / self.n))
+
+    def root_product(self, idx) -> np.ndarray:
+        out = self.root(idx[0]).copy()
+        for i in idx[1:]:
+            out *= self.root(i)
+        return out
+
+    def product(self, idx=None) -> np.ndarray:
+        idx = range(self.n) if idx is None else idx
+        if not all(self._safe[i] for i in idx):
+            return self.root_product(idx)
+        out = self._cached(self._log, idx[0], np.log).copy()
+        for i in idx[1:]:
+            out += self._cached(self._log, i, np.log)
+        out /= self.n
+        return np.exp(out, out=out)
+
+
+def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle) -> _Slots:
+    """The validated slots (f_i, p_i, q_i) of D(P, Q) for generators fv."""
+    n = len(fv)
+    if len(P) != n or len(Q) != n:
+        raise LengthMismatch("generator vector and bundles must share one length")
+    if P.space.size != Q.space.size:
+        raise SpaceMismatch("bundles live on different spaces")
+    return _Slots.evaluate((fv[i], P[i].values, Q[i].values) for i in range(n))
 
 
 def classical_f_divergence(
@@ -65,18 +134,8 @@ def mixed_f_divergence(
     fv: FVector, P: DensityBundle, Q: DensityBundle
 ) -> DivergenceReport:
     """Geometric mean of the n weighted integrands, summed against mu."""
-    n = len(fv)
-    if len(P) != n or len(Q) != n:
-        raise LengthMismatch("generator vector and bundles must share one length")
-    if P.space.size != Q.space.size:
-        raise SpaceMismatch("bundles live on different spaces")
-    hits = 0
-    factors = []
-    for i in range(n):
-        w, h = weighted_terms(fv[i], P[i].values, Q[i].values)
-        factors.append(w)
-        hits += h
-    return _report(P.space, _geometric_product(factors, n), hits)
+    slots = _mixed_slots(fv, P, Q)
+    return _report(P.space, slots.product(), slots.hits)
 
 
 def mixed_k_form(
@@ -88,16 +147,12 @@ def mixed_k_form(
         raise IndexOutOfRange(f"k must be in 0..{n}, got {k}")
     if len(P) != n or len(Q) != n:
         raise LengthMismatch("generator vector and bundles must share one length")
-    hits = 0
-    factors = []
-    for i in range(n):
-        if i < k:
-            w, h = weighted_terms(fv[i], P[i].values, Q[i].values)
-        else:
-            w, h = weighted_terms(adjoint(fv[i]), Q[i].values, P[i].values)
-        factors.append(w)
-        hits += h
-    return _report(P.space, _geometric_product(factors, n), hits)
+    slots = _Slots.evaluate(
+        (fv[i], P[i].values, Q[i].values) if i < k
+        else (adjoint(fv[i]), Q[i].values, P[i].values)
+        for i in range(n)
+    )
+    return _report(P.space, slots.product(), slots.hits)
 
 
 def _powered_factor(w: np.ndarray, exponent: float) -> np.ndarray:
@@ -106,6 +161,10 @@ def _powered_factor(w: np.ndarray, exponent: float) -> np.ndarray:
     if exponent < 0.0 and np.any(w == 0.0):
         raise DegenerateExponent("zero integrand factor raised to a negative power")
     return w ** exponent
+
+
+def _ith_integrand(w1: np.ndarray, w2: np.ndarray, i: float, n: int) -> np.ndarray:
+    return _powered_factor(w1, i / n) * _powered_factor(w2, (n - i) / n)
 
 
 def ith_mixed(
@@ -124,8 +183,7 @@ def ith_mixed(
         raise IndexOutOfRange("n must be >= 1")
     w1, h1 = weighted_terms(f1, P1.values, Q1.values)
     w2, h2 = weighted_terms(f2, P2.values, Q2.values)
-    integrand = _powered_factor(w1, i / n) * _powered_factor(w2, (n - i) / n)
-    return _report(s, integrand, h1 + h2)
+    return _report(s, _ith_integrand(w1, w2, i, n), h1 + h2)
 
 
 def ith_mixed_reference(
@@ -144,7 +202,7 @@ def ith_mixed_reference(
     if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
         raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
     w1, hits = weighted_terms(f1, P1.values, Q1.values)
-    scale = f2.value_at_one ** (1.0 - i / n)
+    scale = _power(f2.value_at_one, 1.0 - i / n)
     integrand = scale * _powered_factor(w1, i / n)
     return _report(s, integrand, hits)
 
@@ -170,11 +228,11 @@ def named_divergence(
         fv = FVector([make_builtin("klplus")] * n)
         if kl_orientation == "pq":
             return mixed_f_divergence(fv, P, Q)
-        factors = [
+        slots = _Slots([
             np.maximum(P[i].values * np.log(Q[i].values / P[i].values), 0.0)
             for i in range(n)
-        ]
-        return _report(P.space, _geometric_product(factors, n))
+        ])
+        return _report(P.space, slots.product())
     if family == "mixed_hellinger":
         if alphas is None:
             raise ValueError("mixed_hellinger needs alphas")

@@ -59,6 +59,10 @@ class LogOfZero(MixdivError):
     pass
 
 
+class NonFiniteValue(MixdivError):
+    """A value or verdict side came out NaN or infinite."""
+
+
 class MixedConvexityTags(MixdivError):
     pass
 

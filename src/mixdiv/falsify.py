@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeMismatch
+from .errors import InvalidParameter, RangeMismatch
 from .ffunctions import FVector, make_builtin
 from .inequalities import (
     af_check,
@@ -205,6 +205,8 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     minimum-slack witness."""
     if inequality_id not in _TRIALS:
         raise RangeMismatch(f"unknown inequality id {inequality_id!r}")
+    if trials < 0:
+        raise InvalidParameter(f"trials must be >= 0, got {trials}")
     cfg = config or FalsifyConfig()
     run = _TRIALS[inequality_id]
     violations = 0

@@ -16,20 +16,26 @@ import numpy as np
 
 from .errors import (
     BadOrdering,
+    IndexOutOfRange,
     LengthMismatch,
     MixedConvexityTags,
     NonConcaveTag,
+    NonFiniteValue,
     RangeMismatch,
     TagMismatch,
 )
 from .divergences import (
+    _ith_integrand,
+    _mixed_slots,
+    _power,
+    _report,
+    _Slots,
     classical_f_divergence,
     ith_mixed,
     ith_mixed_reference,
-    mixed_f_divergence,
 )
-from .ffunctions import FFunction, FVector, make_builtin, weighted_terms
-from .measures import Density, DensityBundle, MeasureSpace, make_bundle, make_space
+from .ffunctions import FFunction, FVector, weighted_terms
+from .measures import Density, DensityBundle, MeasureSpace
 
 TOL_INEQ = 1e-10
 TOL_EQ = 1e-8
@@ -58,6 +64,8 @@ class InequalityVerdict:
 
 def _verdict(lhs: float, rhs: float, relation: str, diagnosis=None) -> InequalityVerdict:
     slack = (rhs - lhs) if relation == "le" else (lhs - rhs)
+    if not all(math.isfinite(x) for x in (lhs, rhs, slack)):
+        raise NonFiniteValue(f"verdict sides are not finite: lhs={lhs!r}, rhs={rhs!r}")
     scale = 1.0 + abs(rhs)
     return InequalityVerdict(
         lhs=lhs,
@@ -103,16 +111,18 @@ class FactorDecomposition:
         return out
 
 
+def _decompose(slots: _Slots, m: int) -> FactorDecomposition:
+    n = slots.n
+    g0 = slots.root_product(range(n - m)) if m < n else np.ones(slots.w[0].size)
+    return FactorDecomposition(g0=g0, g=tuple(slots.root(i) for i in range(n - m, n)))
+
+
 def factor_decomposition(
     fv: FVector, P: DensityBundle, Q: DensityBundle, m: int
 ) -> FactorDecomposition:
-    n = len(fv)
-    factors = []
-    for i in range(n):
-        w, _ = weighted_terms(fv[i], P[i].values, Q[i].values)
-        factors.append(w ** (1.0 / n))
-    g0 = np.prod(np.stack(factors[: n - m]), axis=0) if m < n else np.ones(P.space.size)
-    return FactorDecomposition(g0=g0, g=tuple(factors[n - m:]))
+    if not (0 <= m <= len(fv)):
+        raise RangeMismatch(f"m must be in 0..{len(fv)}")
+    return _decompose(_mixed_slots(fv, P, Q), m)
 
 
 def _check_tags_uniform(fv: FVector) -> None:
@@ -131,16 +141,15 @@ def af_check(
     if not (1 <= m <= n):
         raise RangeMismatch(f"m must be in 1..{n}")
     _check_tags_uniform(fv)
-    lhs = mixed_f_divergence(fv, P, Q).value ** m
+    slots = _mixed_slots(fv, P, Q)
+    lhs = _power(_report(P.space, slots.product()).value, m)
+    head = list(range(n - m))
     rhs = 1.0
     for k in range(n - m, n):
-        fv_k = FVector(list(fv[: n - m]) + [fv[k]] * m)
-        P_k = DensityBundle(P.space, tuple(P.densities[: n - m]) + (P[k],) * m)
-        Q_k = DensityBundle(Q.space, tuple(Q.densities[: n - m]) + (Q[k],) * m)
-        rhs *= mixed_f_divergence(fv_k, P_k, Q_k).value
+        rhs *= _report(P.space, slots.product(head + [k] * m)).value
     v = _verdict(lhs, rhs, "le")
     if v.equality:
-        dec = factor_decomposition(fv, P, Q, m)
+        dec = _decompose(slots, m)
         root = dec.g0 ** (1.0 / m)
         hs = [root * gj for gj in dec.g]
         pairwise = all(
@@ -162,11 +171,7 @@ def jensen_bound_check(
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
     value = classical_f_divergence(f, p, q, s).value
     relation = "ge" if f.convexity_tag in ("convex", "strictly_convex", "linear") else "le"
-    if relation == "ge":
-        v = _verdict(value, f.value_at_one, "ge")
-    else:
-        v = _verdict(value, f.value_at_one, "le")
-        v = InequalityVerdict(value, f.value_at_one, v.slack, v.satisfied, v.equality)
+    v = _verdict(value, f.value_at_one, relation)
     if f.is_strict:
         same = bool(np.all(np.abs(p.values - q.values) <= PROP_TOL * (1 + np.abs(q.values))))
         v = InequalityVerdict(
@@ -184,12 +189,13 @@ def concave_chain_check(
     for f in fv:
         if not f.is_concave:
             raise NonConcaveTag("concave chain needs concave generators")
-    d_mixed = mixed_f_divergence(fv, P, Q).value
+    slots = _mixed_slots(fv, P, Q)
+    d_mixed = _report(P.space, slots.product()).value
     prod_classical = 1.0
     for i in range(n):
-        prod_classical *= classical_f_divergence(fv[i], P[i], Q[i], P.space).value
+        prod_classical *= _report(P.space, slots.w[i]).value
     prod_ones = math.prod(f.value_at_one for f in fv)
-    left = _verdict(d_mixed ** n, prod_classical, "le")
+    left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
     if all(f.convexity_tag == "linear" for f in fv):
         combos = []
@@ -224,16 +230,21 @@ def interpolation_check(
     lo, hi = min(j, k), max(j, k)
     if not (lo <= i <= hi):
         raise BadOrdering(f"i={i} is outside [{lo}, {hi}]")
-    d_i = ith_mixed(f1, f2, P1, Q1, P2, Q2, i, n, s).value
+    if n < 1:
+        raise IndexOutOfRange("n must be >= 1")
+    w1, _ = weighted_terms(f1, P1.values, Q1.values)
+    w2, _ = weighted_terms(f2, P2.values, Q2.values)
+
+    def d(x):
+        return _report(s, _ith_integrand(w1, w2, x, n)).value
+
+    d_i = d(i)
     if i == j or i == k:
         return _verdict(d_i, d_i, "le")
-    d_j = ith_mixed(f1, f2, P1, Q1, P2, Q2, j, n, s).value
-    d_k = ith_mixed(f1, f2, P1, Q1, P2, Q2, k, n, s).value
+    d_j, d_k = d(j), d(k)
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
     v = _verdict(d_i, rhs, "le")
     if v.equality:
-        w1, _ = weighted_terms(f1, P1.values, Q1.values)
-        w2, _ = weighted_terms(f2, P2.values, Q2.values)
         v = InequalityVerdict(
             v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
             diagnosis=effective_proportionality(w1, w2, s),
@@ -271,7 +282,7 @@ def corollary_bound_check(
     """
     if case not in _COROLLARY_CASES:
         raise RangeMismatch(f"unknown corollary case {case!r}")
-    bound = f1.value_at_one ** i * f2.value_at_one ** (n - i)
+    bound = _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
 
     if case in ("concave_band", "convex_concave_high", "concave_convex_low"):
         if P2 is None or Q2 is None:
@@ -295,7 +306,7 @@ def corollary_bound_check(
                 raise RangeMismatch("needs k <= 0")
             relation = "ge"
         value = ith_mixed(f1, f2, P1, Q1, P2, Q2, i, n, s).value
-        v = _verdict(value ** n, bound, relation)
+        v = _verdict(_power(value, n), bound, relation)
         if v.equality and f1.is_strict and f2.is_strict:
             stacks = np.stack([P1.values, Q1.values, P2.values, Q2.values])
             all_equal = bool(
@@ -327,7 +338,7 @@ def corollary_bound_check(
             raise RangeMismatch("needs k <= 0")
         relation = "ge"
     value = ith_mixed_reference(f1, P1, Q1, i, f2, s, n).value
-    v = _verdict(value ** n, bound, relation)
+    v = _verdict(_power(value, n), bound, relation)
     if v.equality:
         if f1.is_strict:
             unit = np.ones(s.size)

@@ -1,0 +1,163 @@
+"""Inputs that have no finite answer raise a typed MixdivError (CLI exit 2)
+instead of returning NaN or inf, or escaping as a Python exception."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from mixdiv import (
+    INEQUALITY_IDS,
+    Density,
+    DensityBundle,
+    FVector,
+    af_check,
+    corollary_bound_check,
+    falsify,
+    interpolation_check,
+    ith_mixed,
+    ith_mixed_reference,
+    make_builtin,
+    make_space,
+    named_divergence,
+)
+from mixdiv.cli import main
+from mixdiv.errors import DegenerateExponent, InvalidParameter, NonFiniteValue
+
+# numpy warns on the overflows these inputs are built to provoke
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+P_VALUES = [0.2, 0.3, 0.5]
+Q_VALUES = [0.5, 0.4, 0.1]
+
+
+@pytest.fixture
+def pair():
+    return make_space([1.0, 1.0, 1.0]), Density(P_VALUES), Density(Q_VALUES)
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _verify_spec(task):
+    return {
+        "space": {"weights": [1, 1, 1]},
+        "densities": {"p": P_VALUES, "q": Q_VALUES},
+        "tasks": [task],
+    }
+
+
+# -- NaN and inf are never values or verdicts -------------------------------
+
+
+def test_interpolation_overflow_raises(pair):
+    s, p, q = pair
+    f1, f2 = make_builtin("power", alpha=0.5), make_builtin("power", alpha=2.0)
+    with pytest.raises(NonFiniteValue):
+        interpolation_check(f1, f2, p, q, q, p, 300, -300, 900, 2, s)
+
+
+def test_interpolation_overflow_exits_2(tmp_path, capsys):
+    spec = _write(tmp_path, "v.json", _verify_spec({
+        "type": "interpolation", "f1": {"kind": "power", "alpha": 0.5},
+        "f2": {"kind": "power", "alpha": 2.0}, "p1": "p", "q1": "q", "p2": "q", "q2": "p",
+        "i": 300, "j": -300, "k": 900, "n": 2,
+    }))
+    assert main(["verify", "--spec", spec]) == 2
+    assert "NonFiniteValue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("i", [1e5, -1e5])
+def test_ith_mixed_nan_raises(pair, i):
+    s, p, q = pair
+    f1, f2 = make_builtin("power", alpha=0.5), make_builtin("power", alpha=2.0)
+    with pytest.raises(NonFiniteValue):
+        ith_mixed(f1, f2, p, q, q, p, i, 2, s)
+
+
+@pytest.mark.parametrize("alpha", [2000.0, -2000.0])
+def test_mixed_renyi_extreme_alpha_raises(pair, alpha):
+    s, p, q = pair
+    P, Q = DensityBundle(s, (p, q)), DensityBundle(s, (q, p))
+    with pytest.raises(NonFiniteValue):
+        named_divergence("mixed_renyi", P, Q, alpha=alpha)
+
+
+def test_af_check_power_overflow_raises():
+    s = make_space([1.0, 1.0])
+    P = DensityBundle(s, (Density([1.0, 1.0]),) * 2)
+    Q = DensityBundle(s, (Density([1e-100, 1.0]),) * 2)
+    fv = FVector([make_builtin("power", alpha=3.0)] * 2)  # D(P, Q) ~ 1e200
+    with pytest.raises(NonFiniteValue):
+        af_check(fv, P, Q, 2)
+
+
+# -- f(1) = 0 against a negative exponent -----------------------------------
+
+
+ZERO_AT_ONE = make_builtin("linear", a=0.0, b=0.0)
+
+
+def test_corollary_low_zero_f1_negative_exponent(pair):
+    s, p, q = pair
+    with pytest.raises(DegenerateExponent):
+        corollary_bound_check("concave_convex_low", ZERO_AT_ONE, make_builtin("power", alpha=2.0),
+                              p, q, -1.0, 2, s, P2=q, Q2=p)
+
+
+def test_corollary_high_zero_f2_negative_exponent(pair):
+    s, p, q = pair
+    with pytest.raises(DegenerateExponent):
+        corollary_bound_check("convex_concave_high", make_builtin("power", alpha=2.0), ZERO_AT_ONE,
+                              p, q, 3.0, 2, s, P2=q, Q2=p)
+
+
+def test_ith_reference_zero_f2_negative_exponent():
+    s = make_space([0.5, 0.5])
+    p, q = Density([0.8, 1.2]), Density([1.5, 0.5])
+    with pytest.raises(DegenerateExponent):
+        ith_mixed_reference(make_builtin("power", alpha=2.0), p, q, 3.0, ZERO_AT_ONE, s, 2)
+
+
+@pytest.mark.parametrize("case,f1,f2,i", [
+    ("concave_convex_low", {"kind": "linear", "a": 0, "b": 0}, {"kind": "power", "alpha": 2}, -1),
+    ("convex_concave_high", {"kind": "power", "alpha": 2}, {"kind": "linear", "a": 0, "b": 0}, 3),
+])
+def test_corollary_degenerate_exponent_exits_2(tmp_path, capsys, case, f1, f2, i):
+    spec = _write(tmp_path, "v.json", _verify_spec({
+        "type": "corollary", "case": case, "f1": f1, "f2": f2,
+        "p1": "p", "q1": "q", "p2": "q", "q2": "p", "i": i, "n": 2,
+    }))
+    assert main(["verify", "--spec", spec]) == 2
+    assert "DegenerateExponent" in capsys.readouterr().err
+
+
+# -- falsifier trial count ---------------------------------------------------
+
+
+def test_falsify_negative_trials_raises():
+    with pytest.raises(InvalidParameter):
+        falsify("af_check", 0, -3)
+
+
+def test_falsify_zero_trials_is_empty():
+    assert falsify("af_check", 0, 0)["min_slack"] is None
+
+
+def test_cli_falsify_negative_trials_exits_2(tmp_path, capsys):
+    spec = _write(tmp_path, "f.json", {"tasks": [{"inequality": "af_check", "seed": 1}]})
+    assert main(["falsify", "--spec", spec, "--trials", "-3"]) == 2
+    assert "InvalidParameter" in capsys.readouterr().err
+
+
+# -- documented ids ----------------------------------------------------------
+
+
+def test_readme_lists_the_registered_inequality_ids():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Registered inequality ids:(.*?)\n\n", readme, re.S).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == INEQUALITY_IDS

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     DegenerateExponent,
     IndexOutOfRange,
+    InvalidParameter,
     LengthMismatch,
     LogOfZero,
     NonFiniteValue,
@@ -207,6 +208,13 @@ def ith_mixed_reference(
     return _report(s, integrand, hits)
 
 
+def _kl_qp_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[p ln(q/p)]_+ per atom; a zero p atom contributes its limit 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = p * np.log(q / p)
+    return np.maximum(np.where(p == 0.0, 0.0, t), 0.0)
+
+
 def named_divergence(
     family: str, P: DensityBundle, Q: DensityBundle, *, alphas=None, alpha=None,
     kl_orientation: str = "pq",
@@ -224,29 +232,26 @@ def named_divergence(
         return mixed_f_divergence(fv, P, Q)
     if family == "mixed_kl":
         if kl_orientation not in ("pq", "qp"):
-            raise ValueError(f"bad kl_orientation {kl_orientation!r}")
+            raise InvalidParameter(f"bad kl_orientation {kl_orientation!r}")
         fv = FVector([make_builtin("klplus")] * n)
         if kl_orientation == "pq":
             return mixed_f_divergence(fv, P, Q)
-        slots = _Slots([
-            np.maximum(P[i].values * np.log(Q[i].values / P[i].values), 0.0)
-            for i in range(n)
-        ])
+        slots = _Slots([_kl_qp_terms(P[i].values, Q[i].values) for i in range(n)])
         return _report(P.space, slots.product())
     if family == "mixed_hellinger":
         if alphas is None:
-            raise ValueError("mixed_hellinger needs alphas")
+            raise InvalidParameter("mixed_hellinger needs alphas")
         fv = FVector([make_builtin("power", alpha=a) for a in alphas])
         return mixed_f_divergence(fv, P, Q)
     if family == "bhattacharyya":
         return named_divergence("mixed_hellinger", P, Q, alphas=[0.5] * n)
     if family == "mixed_renyi":
         if alpha is None:
-            raise ValueError("mixed_renyi needs alpha")
+            raise InvalidParameter("mixed_renyi needs alpha")
         if alpha == 1.0:
             raise RenyiUndefined("alpha = 1 is outside the Renyi family")
         hell = named_divergence("mixed_hellinger", P, Q, alphas=[alpha] * n)
         if hell.value <= 0.0:
             raise LogOfZero("Hellinger integral vanished; log undefined")
         return math.log(hell.value) / (alpha - 1.0)
-    raise ValueError(f"unknown divergence family {family!r}")
+    raise InvalidParameter(f"unknown divergence family {family!r}")

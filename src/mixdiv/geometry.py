@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +26,18 @@ from .inequalities import InequalityVerdict, _verdict
 from .measures import Density, DensityBundle, MeasureSpace
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform trapezoid grid on the circle; weights sum to 2*pi."""
+    """Uniform trapezoid grid on the circle; weights sum to 2*pi.
+
+    Nodes, weights and their cos/sin tables are computed once per instance
+    and returned read-only, so one grid can be reused across calls.
+    """
 
     node_count: int = 256
 
@@ -35,13 +45,29 @@ class CircleGrid:
         if self.node_count < 64 or self.node_count % 2:
             raise InvalidParameter("node_count must be even and >= 64")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.node_count) / self.node_count
+        return _readonly(2.0 * math.pi * np.arange(self.node_count) / self.node_count)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.full(self.node_count, 2.0 * math.pi / self.node_count)
+        return _readonly(np.full(self.node_count, 2.0 * math.pi / self.node_count))
+
+    @cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
+        return _readonly(np.cos(self.nodes)), _readonly(np.sin(self.nodes))
+
+    def harmonic(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cos m*theta_j, sin m*theta_j) read from the m = 1 tables.
+
+        m*theta_j and theta_{m*j mod N} differ by a multiple of 2*pi, so the
+        lookup is exact and never rounds m*theta_j.
+        """
+        c, s = self._trig
+        if m == 1:
+            return c, s
+        idx = (m * np.arange(self.node_count)) % self.node_count
+        return c[idx], s[idx]
 
     def space(self) -> MeasureSpace:
         return MeasureSpace(self.weights)
@@ -74,31 +100,37 @@ class ConvexBody2D:
         else:
             raise InvalidParameter(f"unknown body family {self.family!r}")
 
-    def support(self, theta):
-        theta = np.asarray(theta, dtype=float)
+    @property
+    def _frequency(self) -> int:
+        """The m with h a function of (cos m*theta, sin m*theta)."""
+        return 1 if self.family == "ellipse" else self.k
+
+    def _derivatives(self, c, s):
+        """(h, h', h'') from c = cos(m*theta), s = sin(m*theta), m = _frequency."""
         if self.family == "ellipse":
-            c = np.cos(theta - self.phi)
-            s = np.sin(theta - self.phi)
-            return np.sqrt(self.a ** 2 * c ** 2 + self.b ** 2 * s ** 2)
-        return 1.0 + self.eps * np.cos(self.k * theta)
+            cp, sp = math.cos(self.phi), math.sin(self.phi)
+            # u = theta - phi; h^2 = a^2 cos^2 u + b^2 sin^2 u
+            cu = c * cp + s * sp
+            su = s * cp - c * sp
+            cu2, su2 = cu ** 2, su ** 2
+            d = self.b ** 2 - self.a ** 2
+            h = np.sqrt(self.a ** 2 * cu2 + self.b ** 2 * su2)
+            # (h^2)'/2 = d sin u cos u and (h^2)''/2 = d (cos^2 u - sin^2 u)
+            hp = d * su * cu / h
+            hpp = (d * (cu2 - su2) - hp ** 2) / h
+            return h, hp, hpp
+        h = 1.0 + self.eps * c
+        hp = -self.eps * self.k * s
+        hpp = -self.eps * self.k ** 2 * c
+        return h, hp, hpp
+
+    def support(self, theta):
+        return self.support_derivatives(theta)[0]
 
     def support_derivatives(self, theta):
         """(h, h', h'') evaluated analytically."""
-        theta = np.asarray(theta, dtype=float)
-        if self.family == "ellipse":
-            h = self.support(theta)
-            d = self.b ** 2 - self.a ** 2
-            # h^2 = a^2 cos^2 + b^2 sin^2, so (h^2)'/2 = d sin(2u)/2
-            u = theta - self.phi
-            half_sq_prime = 0.5 * d * np.sin(2.0 * u)
-            hp = half_sq_prime / h
-            half_sq_second = d * np.cos(2.0 * u)
-            hpp = (half_sq_second - hp ** 2) / h
-            return h, hp, hpp
-        h = self.support(theta)
-        hp = -self.eps * self.k * np.sin(self.k * theta)
-        hpp = -self.eps * self.k ** 2 * np.cos(self.k * theta)
-        return h, hp, hpp
+        mt = self._frequency * np.asarray(theta, dtype=float)
+        return self._derivatives(np.cos(mt), np.sin(mt))
 
 
 def ellipse(a: float, b: float, phi: float = 0.0) -> ConvexBody2D:
@@ -115,7 +147,7 @@ def unit_disk() -> ConvexBody2D:
 
 def body_eval(K: ConvexBody2D, grid: CircleGrid) -> dict:
     """Per-node h, h', h'' and the curvature function f = h + h''."""
-    h, hp, hpp = K.support_derivatives(grid.nodes)
+    h, hp, hpp = K._derivatives(*grid.harmonic(K._frequency))
     f = h + hpp
     if np.any(h <= 0) or np.any(f <= 0):
         raise NotC2Plus("support or curvature function is nonpositive on the grid")
@@ -130,13 +162,20 @@ class BodyFunctionals:
     affine_surface_area: float
 
 
+def _volumes(ev: dict, grid: CircleGrid) -> tuple[float, float]:
+    """(|K|, |K*|) from one body evaluation."""
+    w = grid.weights
+    return (float(0.5 * np.dot(ev["h"] * ev["f"], w)),
+            float(0.5 * np.dot(ev["h"] ** -2, w)))
+
+
 def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
     ev = body_eval(K, grid)
-    h, f = ev["h"], ev["f"]
-    w = grid.weights
+    f, w = ev["f"], grid.weights
+    volume, polar_volume = _volumes(ev, grid)
     return BodyFunctionals(
-        volume=float(0.5 * np.dot(h * f, w)),
-        polar_volume=float(0.5 * np.dot(h ** -2, w)),
+        volume=volume,
+        polar_volume=polar_volume,
         boundary_length=float(np.dot(f, w)),
         affine_surface_area=float(np.dot(f ** (2.0 / 3.0), w)),
     )
@@ -145,9 +184,9 @@ def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
 def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]:
     """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|)."""
     ev = body_eval(K, grid)
-    fn = body_functionals(K, grid)
-    p = 1.0 / (2.0 * fn.polar_volume * ev["h"] ** 2)
-    q = ev["f"] * ev["h"] / (2.0 * fn.volume)
+    volume, polar_volume = _volumes(ev, grid)
+    p = 1.0 / (2.0 * polar_volume * ev["h"] ** 2)
+    q = ev["f"] * ev["h"] / (2.0 * volume)
     return Density(p), Density(q)
 
 

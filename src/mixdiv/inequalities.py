@@ -262,6 +262,11 @@ _COROLLARY_CASES = (
 )
 
 
+def _endpoint_bound(f1: FFunction, f2: FFunction, i: float, n: int) -> float:
+    """f1(1)^i f2(1)^(n-i), the right-hand side of every corollary."""
+    return _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
+
+
 def corollary_bound_check(
     case: str,
     f1: FFunction,
@@ -282,7 +287,6 @@ def corollary_bound_check(
     """
     if case not in _COROLLARY_CASES:
         raise RangeMismatch(f"unknown corollary case {case!r}")
-    bound = _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
 
     if case in ("concave_band", "convex_concave_high", "concave_convex_low"):
         if P2 is None or Q2 is None:
@@ -305,6 +309,7 @@ def corollary_bound_check(
             if i > 0:
                 raise RangeMismatch("needs k <= 0")
             relation = "ge"
+        bound = _endpoint_bound(f1, f2, i, n)
         value = ith_mixed(f1, f2, P1, Q1, P2, Q2, i, n, s).value
         v = _verdict(_power(value, n), bound, relation)
         if v.equality and f1.is_strict and f2.is_strict:
@@ -337,6 +342,7 @@ def corollary_bound_check(
         if i > 0:
             raise RangeMismatch("needs k <= 0")
         relation = "ge"
+    bound = _endpoint_bound(f1, f2, i, n)
     value = ith_mixed_reference(f1, P1, Q1, i, f2, s, n).value
     v = _verdict(_power(value, n), bound, relation)
     if v.equality:

@@ -336,3 +336,15 @@ def test_kl_orientation_flag(counting2):
     p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
     assert pq == pytest.approx(float(np.maximum(p * np.log(p / q), 0).sum()), rel=1e-14)
     assert qp == pytest.approx(float(np.maximum(p * np.log(q / p), 0).sum()), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kl_qp_zero_p_atom_contributes_zero():
+    # [p ln(q/p)]_+ per atom; the first slot's zero P atom contributes its limit 0
+    s = make_space([1.0, 1.0, 1.0])
+    P = DensityBundle(s, (Density([0.0, 0.2, 0.8]), Density([0.5, 0.25, 0.25])))
+    Q = DensityBundle(s, (Density([0.3, 0.6, 0.1]), Density([0.25, 0.5, 0.25])))
+    # slot terms: (0, 0.2 ln 3, 0) and (0, 0.25 ln 2, 0)
+    expected = math.sqrt(0.2 * math.log(3.0) * 0.25 * math.log(2.0))
+    value = named_divergence("mixed_kl", P, Q, kl_orientation="qp").value
+    assert value == pytest.approx(expected, rel=1e-15)

@@ -245,3 +245,56 @@ def test_jensen_chain_agrees_with_isoperimetric():
         scale = (fn.affine_surface_area / (2 * math.pi)) ** 1.5
         assert v.lhs * scale == pytest.approx(lhs_iso, rel=1e-10)
         assert v.satisfied
+
+
+# -- grid tables and the single body evaluation ------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 40, 997])
+def test_grid_harmonic_matches_mpmath(m):
+    mpmath = pytest.importorskip("mpmath")
+    c, s = GRID.harmonic(m)
+    N = GRID.node_count
+    with mpmath.workdps(40):
+        arg = [m * 2 * mpmath.pi * j / N for j in range(N)]
+        c_ref = np.array([float(mpmath.cos(t)) for t in arg])
+        s_ref = np.array([float(mpmath.sin(t)) for t in arg])
+    assert np.max(np.abs(c - c_ref)) <= 1e-15
+    assert np.max(np.abs(s - s_ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("K", [
+    unit_disk(), ellipse(100.0, 0.01), ellipse(2.0, 0.5, 5.9), trigball(1e-6, 997),
+])
+def test_body_eval_matches_support_derivatives(K):
+    ev = body_eval(K, GRID)
+    for key, x in zip(("h", "hp", "hpp"), K.support_derivatives(GRID.nodes)):
+        assert np.max(np.abs(ev[key] - x)) <= 1e-11 * max(1.0, np.max(np.abs(x)))
+
+
+def test_body_densities_evaluates_the_body_once(monkeypatch):
+    import mixdiv.geometry as geometry
+
+    calls = []
+
+    def counting(K, grid):
+        calls.append(K)
+        return body_eval(K, grid)
+
+    monkeypatch.setattr(geometry, "body_eval", counting)
+    body_densities(ellipse(2.0, 0.5), GRID)
+    assert len(calls) == 1
+
+
+def test_grid_tables_are_read_only():
+    grid = CircleGrid(128)
+    for table in (grid.nodes, grid.weights, *grid.harmonic(1)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_grid_equality_and_hash():
+    a, b = CircleGrid(256), CircleGrid(256)
+    a.harmonic(3)  # computed tables do not take part in equality
+    assert a == b and hash(a) == hash(b)
+    assert CircleGrid(256) != CircleGrid(512)

@@ -23,7 +23,12 @@ from mixdiv import (
     named_divergence,
 )
 from mixdiv.cli import main
-from mixdiv.errors import DegenerateExponent, InvalidParameter, NonFiniteValue
+from mixdiv.errors import (
+    DegenerateExponent,
+    InvalidParameter,
+    NonFiniteValue,
+    RangeMismatch,
+)
 
 # numpy warns on the overflows these inputs are built to provoke
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -134,6 +139,44 @@ def test_corollary_degenerate_exponent_exits_2(tmp_path, capsys, case, f1, f2, i
     }))
     assert main(["verify", "--spec", spec]) == 2
     assert "DegenerateExponent" in capsys.readouterr().err
+
+
+def test_corollary_checks_range_before_bound(pair):
+    # the bound 0^(-1) is never formed: i = -1 is outside concave_band's range
+    s, p, q = pair
+    with pytest.raises(RangeMismatch):
+        corollary_bound_check("concave_band", ZERO_AT_ONE, make_builtin("power", alpha=0.5),
+                              p, q, -1.0, 2, s, P2=q, Q2=p)
+
+
+# -- named families ----------------------------------------------------------
+
+
+BAD_NAMED = [
+    ("mixed_kl", {"kl_orientation": "pp"}),
+    ("mixed_hellinger", {}),
+    ("mixed_renyi", {}),
+    ("mixed_chi2", {}),
+]
+
+
+@pytest.mark.parametrize("family,kwargs", BAD_NAMED)
+def test_named_divergence_bad_input_raises(pair, family, kwargs):
+    s, p, q = pair
+    P, Q = DensityBundle(s, (p, q)), DensityBundle(s, (q, p))
+    with pytest.raises(InvalidParameter):
+        named_divergence(family, P, Q, **kwargs)
+
+
+@pytest.mark.parametrize("family,kwargs", BAD_NAMED)
+def test_named_divergence_bad_input_exits_2(tmp_path, capsys, family, kwargs):
+    spec = _write(tmp_path, "c.json", {
+        "space": {"weights": [1, 1, 1]},
+        "densities": {"p": P_VALUES, "q": Q_VALUES},
+        "tasks": [{"type": "named", "family": family, "ps": ["p"], "qs": ["q"]} | kwargs],
+    })
+    assert main(["compute", "--spec", spec]) == 2
+    assert "InvalidParameter" in capsys.readouterr().err
 
 
 # -- falsifier trial count ---------------------------------------------------

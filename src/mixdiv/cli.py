@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import divergences, geometry, inequalities
 from .falsify import FalsifyConfig, falsify as run_falsify_trials
@@ -38,252 +41,285 @@ def _load_spec(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
 
 
+_REQUIRED = object()
+
+
+def _is(kind):
+    """A converter that passes a value of the given type and rejects others."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}")
+        return value
+    return check
+
+
+_LIST, _STR = _is(list), _is(str)
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+class _Reader:
+    """Typed reads of one JSON object of a spec. `get` raises SpecError when
+    the field is missing or when the converter `to` (float, int, _LIST, ...)
+    rejects it; a default is returned as given."""
+
+    def __init__(self, data, where):
+        if not isinstance(data, dict):
+            raise SpecError(f"{where} must be a JSON object, got {data!r}")
+        self.data, self.where = data, where
+
+    def get(self, key, to=lambda value: value, default=_REQUIRED):
+        if key not in self.data:
+            if default is _REQUIRED:
+                raise SpecError(f"missing field {key!r} in {self.where}")
+            return default
+        try:
+            return to(self.data[key])
+        except (TypeError, ValueError, OverflowError):
+            raise SpecError(
+                f"field {key!r} in {self.where} has a wrong type or value: {self.data[key]!r}"
+            ) from None
+
+    def section(self, key, default=_REQUIRED) -> "_Reader":
+        return _Reader(self.get(key, default=default), key)
+
+
+class _Task(_Reader):
+    """One compute, verify or geometry task. Names in its fields refer to the
+    spec's densities or bodies (`named`); its entry computes on the space or
+    the grid, and reports integrands when `emit` is set."""
+
+    def __init__(self, data, named, space=None, grid=None, emit=False):
+        super().__init__(data, "task")
+        self.type = self.get("type", _STR)
+        self.where = f"{self.type} task"
+        self.named, self.space, self.grid, self.emit = named, space, grid, emit
+
+    def f(self, key):
+        return from_spec(self.get(key))
+
+    def fs(self, key) -> FVector:
+        return FVector(from_spec(f) for f in self.get(key, _LIST))
+
+    def _resolve(self, name):
+        if not isinstance(name, str) or name not in self.named:
+            raise SpecError(f"unknown name {name!r} in {self.where}")
+        return self.named[name]
+
+    def ref(self, key):
+        """The density or body that the field names."""
+        return self._resolve(self.get(key))
+
+    def refs(self, key) -> list:
+        return [self._resolve(name) for name in self.get(key, _LIST)]
+
+    def bundle(self, key) -> DensityBundle:
+        return DensityBundle(self.space, tuple(self.refs(key)))
+
+    def report(self, report) -> dict:
+        entry = {"task": self.type, "value": report.value}
+        if self.emit:
+            entry["integrand"] = [float(x) for x in report.integrand]
+            entry["convention_hits"] = report.convention_hits
+        return entry
+
+    def verdicts(self, *verdicts, **extra) -> list:
+        return [{"task": self.type} | extra | v.to_dict() for v in verdicts]
+
+
 def _norm_tol(spec):
-    tol = os.environ.get("MIXDIV_TOL_OVERRIDE")
-    tol = float(tol) if tol else 1e-12
-    overrides = spec.get("tolerances", {})
-    if "norm" in overrides:
-        tol = float(overrides["norm"])
+    env = {"MIXDIV_TOL_OVERRIDE": os.environ.get("MIXDIV_TOL_OVERRIDE") or 1e-12}
+    tol = spec.section("tolerances", {}).get(
+        "norm", float, _Reader(env, "environment").get("MIXDIV_TOL_OVERRIDE", float))
     if tol <= 0:
         raise SpecError("tolerance overrides must be positive")
     return tol
 
-def _require(spec, key, where):
-    if key not in spec:
-        raise SpecError(f"missing field {key!r} in {where}")
-    return spec[key]
 
-
-def _parse_inputs(spec):
-    space = make_space(_require(_require(spec, "space", "spec"), "weights", "space"))
+def _parse_inputs(spec) -> dict:
+    space = make_space(spec.section("space").get("weights", _floats))
     tol = _norm_tol(spec)
+    named = spec.section("densities", {})
     densities = {}
-    for name, values in spec.get("densities", {}).items():
-        d = Density(values)
+    for name in named.data:
+        d = Density(named.get(name, _floats))
         validate_density(d, space, strictly_positive=True, probability=True, tol=tol)
         densities[name] = d
-    return space, densities
+    return {"space": space, "named": densities}
 
 
-def _density(densities, name, where):
-    if name not in densities:
-        raise SpecError(f"unknown density {name!r} in {where}")
-    return densities[name]
+def _run(command, table, spec, inputs):
+    """Run each task of the spec through its entry in the command's table."""
+    results = []
+    for task in spec.get("tasks", _LIST):
+        r = _Task(task, **inputs)
+        run = table.get(r.type)
+        if run is None:
+            raise SpecError(f"unknown {command} task type {r.type!r}")
+        out = run(r)
+        results += out if isinstance(out, list) else [out]
+    code = 1 if any(not entry.get("satisfied", True) for entry in results) else 0
+    return {"command": command, "results": results}, code
 
 
-def _bundle(space, densities, names, where):
-    return DensityBundle(space, tuple(_density(densities, n, where) for n in names))
+def _named(r):
+    family = r.get("family", _STR)
+    out = divergences.named_divergence(
+        family, r.bundle("ps"), r.bundle("qs"),
+        alphas=r.get("alphas", _LIST, None),
+        alpha=r.get("alpha", float, None),
+        kl_orientation=r.get("kl_orientation", _STR, "pq"),
+    )
+    entry = {"task": r.type, "value": out} if isinstance(out, float) else r.report(out)
+    return entry | {"family": family}
 
 
-def _report_entry(task, report, emit_integrand):
-    entry = {"task": task["type"], "value": report.value}
-    if emit_integrand:
-        entry["integrand"] = [float(x) for x in report.integrand]
-        entry["convention_hits"] = report.convention_hits
-    return entry
+_COMPUTE = {
+    "classical": lambda r: r.report(divergences.classical_f_divergence(
+        r.f("f"), r.ref("p"), r.ref("q"), r.space,
+    )),
+    "mixed": lambda r: r.report(divergences.mixed_f_divergence(
+        r.fs("fs"), r.bundle("ps"), r.bundle("qs"),
+    )),
+    "k_form": lambda r: r.report(divergences.mixed_k_form(
+        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("k", int),
+    )),
+    "ith": lambda r: r.report(divergences.ith_mixed(
+        r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
+        r.get("i", float), r.get("n", int), r.space,
+    )),
+    "ith_reference": lambda r: r.report(divergences.ith_mixed_reference(
+        r.f("f1"), r.ref("p1"), r.ref("q1"), r.get("i", float), r.f("f2"),
+        r.space, r.get("n", int),
+    )),
+    "named": _named,
+}
+
+
+def _corollary(r):
+    pair = {"P2": r.ref("p2"), "Q2": r.ref("q2")} if "p2" in r.data else {}
+    return r.verdicts(inequalities.corollary_bound_check(
+        r.get("case", _STR), r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"),
+        r.get("i", float), r.get("n", int), r.space, **pair,
+    ))
+
+
+_VERIFY = {
+    "af": lambda r: r.verdicts(inequalities.af_check(
+        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("m", int),
+    )),
+    "jensen": lambda r: r.verdicts(inequalities.jensen_bound_check(
+        r.f("f"), r.ref("p"), r.ref("q"), r.space,
+    )),
+    "concave_chain": lambda r: r.verdicts(*inequalities.concave_chain_check(
+        r.fs("fs"), r.bundle("ps"), r.bundle("qs"),
+    )),
+    "interpolation": lambda r: r.verdicts(inequalities.interpolation_check(
+        r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
+        r.get("i", float), r.get("j", float), r.get("k", float), r.get("n", int), r.space,
+    )),
+    "corollary": _corollary,
+}
 
 
 def run_compute(spec, emit_integrand=False):
-    space, dens = _parse_inputs(spec)
-    results = []
-    for task in _require(spec, "tasks", "spec"):
-        t = _require(task, "type", "task")
-        if t == "classical":
-            rep = divergences.classical_f_divergence(
-                from_spec(task["f"]), _density(dens, task["p"], t),
-                _density(dens, task["q"], t), space,
-            )
-        elif t == "mixed":
-            rep = divergences.mixed_f_divergence(
-                FVector(from_spec(f) for f in task["fs"]),
-                _bundle(space, dens, task["ps"], t),
-                _bundle(space, dens, task["qs"], t),
-            )
-        elif t == "k_form":
-            rep = divergences.mixed_k_form(
-                FVector(from_spec(f) for f in task["fs"]),
-                _bundle(space, dens, task["ps"], t),
-                _bundle(space, dens, task["qs"], t),
-                int(task["k"]),
-            )
-        elif t == "ith":
-            rep = divergences.ith_mixed(
-                from_spec(task["f1"]), from_spec(task["f2"]),
-                _density(dens, task["p1"], t), _density(dens, task["q1"], t),
-                _density(dens, task["p2"], t), _density(dens, task["q2"], t),
-                float(task["i"]), int(task["n"]), space,
-            )
-        elif t == "ith_reference":
-            rep = divergences.ith_mixed_reference(
-                from_spec(task["f1"]),
-                _density(dens, task["p1"], t), _density(dens, task["q1"], t),
-                float(task["i"]), from_spec(task["f2"]), space, int(task["n"]),
-            )
-        elif t == "named":
-            out = divergences.named_divergence(
-                task["family"],
-                _bundle(space, dens, task["ps"], t),
-                _bundle(space, dens, task["qs"], t),
-                alphas=task.get("alphas"),
-                alpha=task.get("alpha"),
-                kl_orientation=task.get("kl_orientation", "pq"),
-            )
-            if isinstance(out, float):
-                results.append({"task": t, "family": task["family"], "value": out})
-                continue
-            entry = _report_entry(task, out, emit_integrand)
-            entry["family"] = task["family"]
-            results.append(entry)
-            continue
-        else:
-            raise SpecError(f"unknown compute task type {t!r}")
-        results.append(_report_entry(task, rep, emit_integrand))
-    return {"command": "compute", "results": results}, 0
+    spec = _Reader(spec, "spec")
+    return _run("compute", _COMPUTE, spec, _parse_inputs(spec) | {"emit": emit_integrand})
 
 
 def run_verify(spec, emit_integrand=False):
-    space, dens = _parse_inputs(spec)
-    results = []
-    any_violation = False
-    for task in _require(spec, "tasks", "spec"):
-        t = _require(task, "type", "task")
-        if t == "af":
-            v = inequalities.af_check(
-                FVector(from_spec(f) for f in task["fs"]),
-                _bundle(space, dens, task["ps"], t),
-                _bundle(space, dens, task["qs"], t),
-                int(task["m"]),
-            )
-            verdicts = [v]
-        elif t == "jensen":
-            verdicts = [inequalities.jensen_bound_check(
-                from_spec(task["f"]), _density(dens, task["p"], t),
-                _density(dens, task["q"], t), space,
-            )]
-        elif t == "concave_chain":
-            verdicts = list(inequalities.concave_chain_check(
-                FVector(from_spec(f) for f in task["fs"]),
-                _bundle(space, dens, task["ps"], t),
-                _bundle(space, dens, task["qs"], t),
-            ))
-        elif t == "interpolation":
-            verdicts = [inequalities.interpolation_check(
-                from_spec(task["f1"]), from_spec(task["f2"]),
-                _density(dens, task["p1"], t), _density(dens, task["q1"], t),
-                _density(dens, task["p2"], t), _density(dens, task["q2"], t),
-                float(task["i"]), float(task["j"]), float(task["k"]),
-                int(task["n"]), space,
-            )]
-        elif t == "corollary":
-            kwargs = {}
-            if "p2" in task:
-                kwargs["P2"] = _density(dens, task["p2"], t)
-                kwargs["Q2"] = _density(dens, task["q2"], t)
-            verdicts = [inequalities.corollary_bound_check(
-                task["case"], from_spec(task["f1"]), from_spec(task["f2"]),
-                _density(dens, task["p1"], t), _density(dens, task["q1"], t),
-                float(task["i"]), int(task["n"]), space, **kwargs,
-            )]
-        else:
-            raise SpecError(f"unknown verify task type {t!r}")
-        for v in verdicts:
-            any_violation = any_violation or not v.satisfied
-            results.append({"task": t} | v.to_dict())
-    return {"command": "verify", "results": results}, (1 if any_violation else 0)
+    spec = _Reader(spec, "spec")
+    return _run("verify", _VERIFY, spec, _parse_inputs(spec) | {"emit": emit_integrand})
 
 
 def run_falsify(spec, seed=None, trials=None):
     results = []
-    any_violation = False
-    for task in _require(spec, "tasks", "spec"):
+    for task in _Reader(spec, "spec").get("tasks", _LIST):
+        task = _Reader(task, "falsify task")
         cfg = FalsifyConfig(
-            max_atoms=int(task.get("max_atoms", 12)),
-            max_n=int(task.get("max_n", 4)),
+            max_atoms=task.get("max_atoms", int, 12),
+            max_n=task.get("max_n", int, 4),
         )
-        report = run_falsify_trials(
-            _require(task, "inequality", "falsify task"),
-            int(task.get("seed", seed if seed is not None else 0)),
-            int(task.get("trials", trials if trials is not None else 1000)),
+        results.append(run_falsify_trials(
+            task.get("inequality", _STR),
+            task.get("seed", int, seed if seed is not None else 0),
+            task.get("trials", int, trials if trials is not None else 1000),
             cfg,
-        )
-        any_violation = any_violation or report["violations"] > 0
-        results.append(report)
-    return {"command": "falsify", "results": results}, (1 if any_violation else 0)
+        ))
+    code = 1 if any(report["violations"] > 0 for report in results) else 0
+    return {"command": "falsify", "results": results}, code
 
 
-def _body(bodies, name, where):
-    if name not in bodies:
-        raise SpecError(f"unknown body {name!r} in {where}")
-    return bodies[name]
+_BODIES = {
+    "ellipse": lambda b: geometry.ellipse(
+        b.get("a", float), b.get("b", float), b.get("phi", float, 0.0)
+    ),
+    "trigball": lambda b: geometry.trigball(b.get("eps", float), b.get("k", int)),
+}
 
 
 def _parse_body(spec):
-    fam = _require(spec, "family", "body spec")
-    try:
-        if fam == "ellipse":
-            return geometry.ellipse(
-                float(spec["a"]), float(spec["b"]), float(spec.get("phi", 0.0))
-            )
-        if fam == "trigball":
-            return geometry.trigball(float(spec["eps"]), int(spec["k"]))
-    except KeyError as exc:
-        raise SpecError(f"body spec missing field {exc}") from exc
-    raise SpecError(f"unknown body family {fam!r}")
+    family = spec.get("family", _STR)
+    if family not in _BODIES:
+        raise SpecError(f"unknown body family {family!r}")
+    return _BODIES[family](spec)
+
+
+def _functionals(r):
+    fn = geometry.body_functionals(r.ref("body"), r.grid)
+    return {"task": r.type, "body": r.get("body")} | dataclasses.asdict(fn)
+
+
+def _densities(r):
+    p, q = geometry.body_densities(r.ref("body"), r.grid)
+    space = r.grid.space()
+    entry = {
+        "task": r.type, "body": r.get("body"),
+        "p_mass": space.integrate(p.values),
+        "q_mass": space.integrate(q.values),
+    }
+    if r.emit:
+        entry["p"] = [float(x) for x in p.values]
+        entry["q"] = [float(x) for x in q.values]
+    return entry
+
+
+def _geometry_ith(r):
+    bodies = r.refs("bodies")
+    if len(bodies) < 2:
+        raise SpecError(f"field 'bodies' in {r.where} needs two bodies")
+    return r.report(geometry.ith_mixed_body_divergence(
+        r.f("f1"), r.f("f2"), bodies[0], bodies[1],
+        r.get("i", float), r.get("orientation", _STR, "PQ"), r.grid,
+    ))
+
+
+_GEOMETRY = {
+    "functionals": _functionals,
+    "densities": _densities,
+    "mixed": lambda r: r.report(geometry.mixed_body_divergence(
+        r.fs("fs"), r.refs("bodies"), r.get("orientation", _STR, "PQ"), r.grid,
+    )),
+    "ith": _geometry_ith,
+    "isoperimetric": lambda r: r.verdicts(
+        geometry.isoperimetric_check(r.ref("body"), r.grid), body=r.get("body"),
+    ),
+}
 
 
 def run_geometry(spec, emit_integrand=False):
-    grid = geometry.CircleGrid(int(spec.get("grid", {}).get("nodes", 256)))
-    bodies = {name: _parse_body(b) for name, b in spec.get("bodies", {}).items()}
-    results = []
-    any_violation = False
-    for task in _require(spec, "tasks", "spec"):
-        t = _require(task, "type", "task")
-        if t == "functionals":
-            fn = geometry.body_functionals(_body(bodies, task["body"], t), grid)
-            results.append({
-                "task": t, "body": task["body"],
-                "volume": fn.volume, "polar_volume": fn.polar_volume,
-                "boundary_length": fn.boundary_length,
-                "affine_surface_area": fn.affine_surface_area,
-            })
-        elif t == "densities":
-            p, q = geometry.body_densities(_body(bodies, task["body"], t), grid)
-            space = grid.space()
-            entry = {
-                "task": t, "body": task["body"],
-                "p_mass": space.integrate(p.values),
-                "q_mass": space.integrate(q.values),
-            }
-            if emit_integrand:
-                entry["p"] = [float(x) for x in p.values]
-                entry["q"] = [float(x) for x in q.values]
-            results.append(entry)
-        elif t == "mixed":
-            rep = geometry.mixed_body_divergence(
-                FVector(from_spec(f) for f in task["fs"]),
-                [_body(bodies, b, t) for b in task["bodies"]],
-                task.get("orientation", "PQ"), grid,
-            )
-            results.append(_report_entry(task, rep, emit_integrand))
-        elif t == "ith":
-            rep = geometry.ith_mixed_body_divergence(
-                from_spec(task["f1"]), from_spec(task["f2"]),
-                _body(bodies, task["bodies"][0], t),
-                _body(bodies, task["bodies"][1], t),
-                float(task["i"]), task.get("orientation", "PQ"), grid,
-            )
-            results.append(_report_entry(task, rep, emit_integrand))
-        elif t == "isoperimetric":
-            v = geometry.isoperimetric_check(_body(bodies, task["body"], t), grid)
-            any_violation = any_violation or not v.satisfied
-            results.append({"task": t, "body": task["body"]} | v.to_dict())
-        else:
-            raise SpecError(f"unknown geometry task type {t!r}")
-    return {"command": "geometry", "results": results}, (1 if any_violation else 0)
+    spec = _Reader(spec, "spec")
+    grid = geometry.CircleGrid(spec.section("grid", {}).get("nodes", int, 256))
+    named = spec.section("bodies", {})
+    bodies = {name: _parse_body(named.section(name)) for name in named.data}
+    inputs = {"grid": grid, "named": bodies, "emit": emit_integrand}
+    return _run("geometry", _GEOMETRY, spec, inputs)
 
 
 def _to_csv(report) -> str:
@@ -291,26 +327,19 @@ def _to_csv(report) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for idx, entry in enumerate(report["results"]):
-        writer.writerow([
-            idx,
-            entry.get("task", entry.get("inequality", "")),
-            _fmt(entry.get("value")),
-            _fmt(entry.get("lhs")),
-            _fmt(entry.get("rhs")),
-            _fmt(entry.get("slack")),
-            _fmt(entry.get("satisfied")),
-            _fmt(entry.get("equality")),
-            _fmt(entry.get("violations")),
-            _fmt(entry.get("min_slack")),
-        ])
+        task = entry.get("task", entry.get("inequality", ""))
+        writer.writerow([idx, task] + [_fmt(entry.get(c)) for c in _CSV_COLUMNS[2:]])
     return buf.getvalue()
 
 
+_FORMATS = {
+    "json": lambda report: json.dumps(report, sort_keys=True, indent=2) + "\n",
+    "csv": _to_csv,
+}
+
+
 def _emit(report, fmt, out):
-    if fmt == "csv":
-        text = _to_csv(report)
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _FORMATS[fmt](report)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -318,30 +347,30 @@ def _emit(report, fmt, out):
         sys.stdout.write(text)
 
 
+_COMMANDS = {
+    "compute": lambda spec, args: run_compute(spec, args.emit_integrand),
+    "verify": lambda spec, args: run_verify(spec, args.emit_integrand),
+    "geometry": lambda spec, args: run_geometry(spec, args.emit_integrand),
+    "falsify": lambda spec, args: run_falsify(spec, seed=args.seed, trials=args.trials),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mixdiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("compute", "verify", "geometry", "falsify"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=tuple(_FORMATS), default="json")
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--emit-integrand", action="store_true")
     args = parser.parse_args(argv)
 
     try:
-        spec = _load_spec(args.spec)
-        if args.command == "compute":
-            report, code = run_compute(spec, args.emit_integrand)
-        elif args.command == "verify":
-            report, code = run_verify(spec, args.emit_integrand)
-        elif args.command == "geometry":
-            report, code = run_geometry(spec, args.emit_integrand)
-        else:
-            report, code = run_falsify(spec, seed=args.seed, trials=args.trials)
-    except (MixdivError, KeyError, TypeError, ValueError) as exc:
+        report, code = _COMMANDS[args.command](_load_spec(args.spec), args)
+    except MixdivError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
         ) + "\n")

@@ -200,6 +200,8 @@ def ith_mixed_reference(
 
     Requires mu itself to be a probability measure.
     """
+    if n < 1:
+        raise IndexOutOfRange("n must be >= 1")
     if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
         raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
     w1, hits = weighted_terms(f1, P1.values, Q1.values)

@@ -6,6 +6,7 @@ identical for a fixed (seed, trials) regardless of evaluation order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import InvalidParameter, RangeMismatch
 from .ffunctions import FVector, make_builtin
 from .inequalities import (
+    _COROLLARIES,
     af_check,
     concave_chain_check,
     corollary_bound_check,
@@ -26,6 +28,10 @@ from .measures import Density, make_bundle, make_space
 class FalsifyConfig:
     max_atoms: int = 12
     max_n: int = 4
+
+    def __post_init__(self):
+        if self.max_atoms < 2 or self.max_n < 1:
+            raise InvalidParameter("falsifier spaces need max_atoms >= 2 and max_n >= 1")
 
 
 def _random_space(rng, cfg, probability=False):
@@ -41,30 +47,31 @@ def _random_density(rng, space) -> Density:
     return Density(v / float(np.dot(v, space.weights)))
 
 
+def _random_linear(rng):
+    return make_builtin(
+        "linear", a=float(rng.uniform(0.1, 2.0)), b=float(rng.uniform(0.1, 2.0))
+    )
+
+
+# Draws of a convex generator; the last three have f(1) > 0.
+_CONVEX_DRAWS = (
+    lambda rng: make_builtin("tv"),
+    lambda rng: make_builtin("klplus"),
+    lambda rng: make_builtin("power", alpha=float(rng.uniform(1.1, 3.0))),
+    lambda rng: make_builtin("power", alpha=float(rng.uniform(-2.0, -0.1))),
+    _random_linear,
+)
+
+
 def _random_convex_f(rng, positive=False):
-    kinds = ["power_hi", "power_neg", "linear"] if positive else [
-        "tv", "klplus", "power_hi", "power_neg", "linear"
-    ]
-    kind = kinds[int(rng.integers(len(kinds)))]
-    if kind == "tv":
-        return make_builtin("tv")
-    if kind == "klplus":
-        return make_builtin("klplus")
-    if kind == "power_hi":
-        return make_builtin("power", alpha=float(rng.uniform(1.1, 3.0)))
-    if kind == "power_neg":
-        return make_builtin("power", alpha=float(rng.uniform(-2.0, -0.1)))
-    return make_builtin(
-        "linear", a=float(rng.uniform(0.1, 2.0)), b=float(rng.uniform(0.1, 2.0))
-    )
+    draws = _CONVEX_DRAWS[2:] if positive else _CONVEX_DRAWS
+    return draws[int(rng.integers(len(draws)))](rng)
 
 
-def _random_concave_f(rng, strict=False):
-    if strict or rng.random() < 0.7:
+def _random_concave_f(rng):
+    if rng.random() < 0.7:
         return make_builtin("power", alpha=float(rng.uniform(0.05, 0.95)))
-    return make_builtin(
-        "linear", a=float(rng.uniform(0.1, 2.0)), b=float(rng.uniform(0.1, 2.0))
-    )
+    return _random_linear(rng)
 
 
 def _instance_dict(space, named_densities, f_specs, params):
@@ -76,6 +83,20 @@ def _instance_dict(space, named_densities, f_specs, params):
     }
 
 
+def _random_bundles(rng, space, fv, params):
+    """Random P and Q for the generator vector fv, and their witness."""
+    n = len(fv)
+    P = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
+    Q = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
+    witness = _instance_dict(
+        space,
+        {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)},
+        [f.describe() for f in fv],
+        params,
+    )
+    return P, Q, witness
+
+
 def _trial_af(rng, cfg):
     n = int(rng.integers(1, cfg.max_n + 1))
     m = int(rng.integers(1, n + 1))
@@ -84,16 +105,8 @@ def _trial_af(rng, cfg):
     fv = FVector(
         _random_concave_f(rng) if concave else _random_convex_f(rng) for _ in range(n)
     )
-    P = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
-    Q = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
-    v = af_check(fv, P, Q, m)
-    witness = _instance_dict(
-        space,
-        {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)},
-        [f.describe() for f in fv],
-        {"n": n, "m": m},
-    )
-    return [v], witness
+    P, Q, witness = _random_bundles(rng, space, fv, {"n": n, "m": m})
+    return [af_check(fv, P, Q, m)], witness
 
 
 def _trial_jensen(rng, cfg):
@@ -109,16 +122,8 @@ def _trial_concave_chain(rng, cfg):
     n = int(rng.integers(1, cfg.max_n + 1))
     space = _random_space(rng, cfg)
     fv = FVector(_random_concave_f(rng) for _ in range(n))
-    P = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
-    Q = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
-    left, right = concave_chain_check(fv, P, Q)
-    witness = _instance_dict(
-        space,
-        {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)},
-        [f.describe() for f in fv],
-        {"n": n},
-    )
-    return [left, right], witness
+    P, Q, witness = _random_bundles(rng, space, fv, {"n": n})
+    return list(concave_chain_check(fv, P, Q)), witness
 
 
 def _positive_f(rng):
@@ -146,42 +151,33 @@ def _trial_interpolation(rng, cfg):
     return [v], witness
 
 
-def _trial_corollary(case):
-    def trial(rng, cfg):
-        n = int(rng.integers(1, cfg.max_n + 1))
-        reference = case.startswith("reference")
-        space = _random_space(rng, cfg, probability=reference)
-        p1, q1 = _random_density(rng, space), _random_density(rng, space)
-        if case in ("concave_band", "reference_concave"):
-            f1 = _random_concave_f(rng)
-            i = float(rng.uniform(0.0, n))
-        elif case in ("convex_concave_high", "reference_convex_high"):
-            f1 = _random_convex_f(rng, positive=True)
-            i = float(n + rng.uniform(0.0, 3.0))
-        else:
-            f1 = _random_concave_f(rng)
-            i = -float(rng.uniform(0.0, 3.0))
-        if case == "concave_band":
-            f2 = _random_concave_f(rng)
-        elif case == "convex_concave_high":
-            f2 = _random_concave_f(rng)
-        elif case == "concave_convex_low":
-            f2 = _random_convex_f(rng, positive=True)
-        else:
-            f2 = _positive_f(rng)
-        kwargs = {}
-        named = {"p1": p1, "q1": q1}
-        if not reference:
-            p2, q2 = _random_density(rng, space), _random_density(rng, space)
-            kwargs = {"P2": p2, "Q2": q2}
-            named |= {"p2": p2, "q2": q2}
-        v = corollary_bound_check(case, f1, f2, p1, q1, i, n, space, **kwargs)
-        witness = _instance_dict(
-            space, named, [f1.describe(), f2.describe()], {"n": n, "i": i, "case": case}
-        )
-        return [v], witness
+# a corollary's tag rule -> the generator draw that meets it
+_DRAW_F = {
+    "concave": _random_concave_f,
+    "convex": lambda rng: _random_convex_f(rng, positive=True),
+    None: _positive_f,
+}
 
-    return trial
+
+def _trial_corollary(case, rng, cfg):
+    row = _COROLLARIES[case]
+    n = int(rng.integers(1, cfg.max_n + 1))
+    space = _random_space(rng, cfg, probability=row.reference)
+    p1, q1 = _random_density(rng, space), _random_density(rng, space)
+    f1 = _DRAW_F[row.f1](rng)
+    i = row.range.draw(rng, n)
+    f2 = _DRAW_F[row.f2](rng)
+    kwargs = {}
+    named = {"p1": p1, "q1": q1}
+    if not row.reference:
+        p2, q2 = _random_density(rng, space), _random_density(rng, space)
+        kwargs = {"P2": p2, "Q2": q2}
+        named |= {"p2": p2, "q2": q2}
+    v = corollary_bound_check(case, f1, f2, p1, q1, i, n, space, **kwargs)
+    witness = _instance_dict(
+        space, named, [f1.describe(), f2.describe()], {"n": n, "i": i, "case": case}
+    )
+    return [v], witness
 
 
 _TRIALS = {
@@ -189,13 +185,7 @@ _TRIALS = {
     "jensen_bound": _trial_jensen,
     "concave_chain": _trial_concave_chain,
     "interpolation": _trial_interpolation,
-    "concave_band": _trial_corollary("concave_band"),
-    "convex_concave_high": _trial_corollary("convex_concave_high"),
-    "concave_convex_low": _trial_corollary("concave_convex_low"),
-    "reference_concave": _trial_corollary("reference_concave"),
-    "reference_convex_high": _trial_corollary("reference_convex_high"),
-    "reference_concave_low": _trial_corollary("reference_concave_low"),
-}
+} | {case: functools.partial(_trial_corollary, case) for case in _COROLLARIES}
 
 INEQUALITY_IDS = tuple(_TRIALS)
 
@@ -205,8 +195,8 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     minimum-slack witness."""
     if inequality_id not in _TRIALS:
         raise RangeMismatch(f"unknown inequality id {inequality_id!r}")
-    if trials < 0:
-        raise InvalidParameter(f"trials must be >= 0, got {trials}")
+    if trials < 0 or seed < 0:
+        raise InvalidParameter(f"seed and trials must be >= 0, got {seed} and {trials}")
     cfg = config or FalsifyConfig()
     run = _TRIALS[inequality_id]
     violations = 0

@@ -4,14 +4,16 @@ Each generator is a closed parametric variant so that the *-adjoint
 f*(t) = t f(1/t), the value f(1), and the endpoint limits are exact.
 Supported variants: total variation |t-1|, [t ln t]_+, powers t^alpha,
 nonnegative linear a t + b, nonnegative scalings, and a generic adjoint
-wrapper for variants without a closed-form adjoint.
+wrapper for variants without a closed-form adjoint. Each variant is one
+entry of the registry _KINDS, which FFunction, make_builtin, adjoint and
+from_spec read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +33,8 @@ _CONCAVE_TAGS = {CONCAVE, STRICTLY_CONCAVE, LINEAR}
 class FFunction:
     """A tagged generator with exact adjoint bookkeeping.
 
-    kind is one of "tv", "klplus", "power", "linear", "scaled", "adjoint".
+    kind names its family in the generator registry: "tv", "klplus",
+    "power", "linear", "scaled" or "adjoint".
     """
 
     kind: str
@@ -46,41 +49,14 @@ class FFunction:
     def __call__(self, t):
         """Evaluate on a positive scalar or array; no domain checks."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "tv":
-            out = np.abs(t - 1.0)
-        elif self.kind == "klplus":
-            out = np.maximum(t * np.log(t), 0.0)
-        elif self.kind == "power":
-            out = t ** self.alpha
-        elif self.kind == "linear":
-            out = self.a * t + self.b
-        elif self.kind == "scaled":
-            out = self.lam * self.inner(t)
-        elif self.kind == "adjoint":
-            out = t * self.inner(1.0 / t)
-        else:  # pragma: no cover
-            raise InvalidParameter(f"unknown kind {self.kind!r}")
-        return out if out.ndim else float(out)
+        out = _KINDS[self.kind].eval(self, t)
+        return out if t.ndim else float(out)
 
     # -- derived attributes -------------------------------------------------
 
     @property
     def convexity_tag(self) -> str:
-        if self.kind in ("tv", "klplus"):
-            return CONVEX
-        if self.kind == "power":
-            if self.alpha in (0.0, 1.0):
-                return LINEAR
-            if 0.0 < self.alpha < 1.0:
-                return STRICTLY_CONCAVE
-            return STRICTLY_CONVEX
-        if self.kind == "linear":
-            return LINEAR
-        if self.kind == "scaled":
-            return LINEAR if self.lam == 0.0 else self.inner.convexity_tag
-        if self.kind == "adjoint":
-            return self.inner.convexity_tag
-        raise InvalidParameter(self.kind)
+        return _KINDS[self.kind].tag(self)
 
     @property
     def is_convex(self) -> bool:
@@ -96,79 +72,138 @@ class FFunction:
 
     @property
     def value_at_one(self) -> float:
-        if self.kind == "tv":
-            return 0.0
-        if self.kind == "klplus":
-            return 0.0
-        if self.kind == "power":
-            return 1.0
-        if self.kind == "linear":
-            return self.a + self.b
-        if self.kind == "scaled":
-            return self.lam * self.inner.value_at_one
-        if self.kind == "adjoint":
-            return self.inner.value_at_one
-        raise InvalidParameter(self.kind)
+        return _KINDS[self.kind].at_one(self)
 
     @property
     def limit_at_zero(self) -> float:
         """lim_{t->0+} f(t); may be math.inf."""
-        if self.kind == "tv":
-            return 1.0
-        if self.kind == "klplus":
-            return 0.0
-        if self.kind == "power":
-            if self.alpha > 0:
-                return 0.0
-            if self.alpha == 0:
-                return 1.0
-            return math.inf
-        if self.kind == "linear":
-            return self.b
-        if self.kind == "scaled":
-            lim = self.inner.limit_at_zero
-            return 0.0 if self.lam == 0.0 else self.lam * lim
-        if self.kind == "adjoint":
-            return self.inner.slope_at_infinity
-        raise InvalidParameter(self.kind)
+        return _KINDS[self.kind].at_zero(self)
 
     @property
     def slope_at_infinity(self) -> float:
         """lim_{t->inf} f(t)/t; may be math.inf."""
-        if self.kind == "tv":
-            return 1.0
-        if self.kind == "klplus":
-            return math.inf
-        if self.kind == "power":
-            if self.alpha > 1:
-                return math.inf
-            if self.alpha == 1:
-                return 1.0
-            return 0.0
-        if self.kind == "linear":
-            return self.a
-        if self.kind == "scaled":
-            s = self.inner.slope_at_infinity
-            return 0.0 if self.lam == 0.0 else self.lam * s
-        if self.kind == "adjoint":
-            return self.inner.limit_at_zero
-        raise InvalidParameter(self.kind)
+        return _KINDS[self.kind].slope(self)
 
     def describe(self) -> dict:
         """JSON-serializable spec of this generator."""
-        if self.kind == "tv":
-            return {"kind": "tv"}
-        if self.kind == "klplus":
-            return {"kind": "klplus"}
-        if self.kind == "power":
-            return {"kind": "power", "alpha": self.alpha}
-        if self.kind == "linear":
-            return {"kind": "linear", "a": self.a, "b": self.b}
-        if self.kind == "scaled":
-            return {"kind": "scaled", "lambda": self.lam, "inner": self.inner.describe()}
-        if self.kind == "adjoint":
-            return {"kind": "adjoint", "inner": self.inner.describe()}
-        raise InvalidParameter(self.kind)
+        spec = {"kind": self.kind}
+        for key, name in _KINDS[self.kind].spec.items():
+            value = getattr(self, name)
+            spec[key] = value.describe() if name == "inner" else value
+        return spec
+
+
+class _Kind(NamedTuple):
+    """One generator family. Each hook takes the FFunction it describes;
+    `make` takes make_builtin's keyword parameters and validates them."""
+
+    eval: Callable  # (f, t) -> f(t) on a float array
+    tag: Callable  # f -> convexity tag
+    at_one: Callable  # f -> f(1)
+    at_zero: Callable  # f -> lim_{t->0+} f(t)
+    slope: Callable  # f -> lim_{t->inf} f(t)/t
+    adjoint: Callable  # f -> f*(t) = t f(1/t), in closed form
+    make: Callable  # params -> FFunction
+    spec: dict = {}  # spec key -> FFunction field, for from_spec and describe
+
+
+class _Registry(dict):
+    def __missing__(self, kind):
+        raise InvalidParameter(f"unknown generator kind {kind!r}")
+
+
+def _real(params: dict, key: str, default=None) -> float:
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(f"generator parameter {key!r} needs a real, got {value!r}") from None
+
+
+def _inner(params: dict) -> FFunction:
+    inner = params.get("inner")
+    if not isinstance(inner, FFunction):
+        raise InvalidParameter(f"inner generator must be an FFunction, got {inner!r}")
+    return inner
+
+
+def _make_power(params: dict) -> FFunction:
+    alpha = _real(params, "alpha")
+    if not math.isfinite(alpha):
+        raise InvalidParameter("power exponent must be finite")
+    return FFunction("power", alpha=alpha)
+
+
+def _make_linear(params: dict) -> FFunction:
+    a, b = _real(params, "a", 0.0), _real(params, "b", 0.0)
+    if a < 0 or b < 0 or not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParameter(
+            "linear generator needs a >= 0 and b >= 0 to stay nonnegative on (0, inf)"
+        )
+    return FFunction("linear", a=a, b=b)
+
+
+def _make_scaled(params: dict) -> FFunction:
+    lam = _real(params, "lam")
+    if lam < 0 or not math.isfinite(lam):
+        raise InvalidParameter("scale factor must be a finite nonnegative real")
+    return FFunction("scaled", lam=lam, inner=_inner(params))
+
+
+def _power_tag(f: FFunction) -> str:
+    if f.alpha in (0.0, 1.0):
+        return LINEAR
+    return STRICTLY_CONCAVE if 0.0 < f.alpha < 1.0 else STRICTLY_CONVEX
+
+
+_KINDS = _Registry(
+    tv=_Kind(
+        eval=lambda f, t: np.abs(t - 1.0),
+        tag=lambda f: CONVEX, at_one=lambda f: 0.0,
+        at_zero=lambda f: 1.0, slope=lambda f: 1.0,
+        adjoint=lambda f: f,
+        make=lambda params: FFunction("tv"),
+    ),
+    klplus=_Kind(
+        eval=lambda f, t: np.maximum(t * np.log(t), 0.0),
+        tag=lambda f: CONVEX, at_one=lambda f: 0.0,
+        at_zero=lambda f: 0.0, slope=lambda f: math.inf,
+        adjoint=lambda f: FFunction("adjoint", inner=f),
+        make=lambda params: FFunction("klplus"),
+    ),
+    power=_Kind(
+        eval=lambda f, t: t ** f.alpha,
+        tag=_power_tag, at_one=lambda f: 1.0,
+        at_zero=lambda f: 0.0 if f.alpha > 0 else (1.0 if f.alpha == 0 else math.inf),
+        slope=lambda f: math.inf if f.alpha > 1 else (1.0 if f.alpha == 1 else 0.0),
+        adjoint=lambda f: FFunction("power", alpha=1.0 - f.alpha),
+        make=_make_power, spec={"alpha": "alpha"},
+    ),
+    linear=_Kind(
+        eval=lambda f, t: f.a * t + f.b,
+        tag=lambda f: LINEAR, at_one=lambda f: f.a + f.b,
+        at_zero=lambda f: f.b, slope=lambda f: f.a,
+        adjoint=lambda f: FFunction("linear", a=f.b, b=f.a),
+        make=_make_linear, spec={"a": "a", "b": "b"},
+    ),
+    scaled=_Kind(
+        eval=lambda f, t: f.lam * f.inner(t),
+        tag=lambda f: LINEAR if f.lam == 0.0 else f.inner.convexity_tag,
+        at_one=lambda f: f.lam * f.inner.value_at_one,
+        # a zero scale annihilates even an infinite limit
+        at_zero=lambda f: 0.0 if f.lam == 0.0 else f.lam * f.inner.limit_at_zero,
+        slope=lambda f: 0.0 if f.lam == 0.0 else f.lam * f.inner.slope_at_infinity,
+        adjoint=lambda f: FFunction("scaled", lam=f.lam, inner=adjoint(f.inner)),
+        make=_make_scaled, spec={"lambda": "lam", "inner": "inner"},
+    ),
+    adjoint=_Kind(
+        eval=lambda f, t: t * f.inner(1.0 / t),
+        tag=lambda f: f.inner.convexity_tag, at_one=lambda f: f.inner.value_at_one,
+        at_zero=lambda f: f.inner.slope_at_infinity, slope=lambda f: f.inner.limit_at_zero,
+        adjoint=lambda f: f.inner,
+        make=lambda params: adjoint(_inner(params)), spec={"inner": "inner"},
+    ),
+)
 
 
 def make_builtin(kind: str, **params) -> FFunction:
@@ -177,32 +212,7 @@ def make_builtin(kind: str, **params) -> FFunction:
     kind: "tv" | "klplus" | "power" (alpha) | "linear" (a, b)
           | "scaled" (lam, inner) | "adjoint" (inner)
     """
-    if kind == "tv":
-        return FFunction("tv")
-    if kind == "klplus":
-        return FFunction("klplus")
-    if kind == "power":
-        alpha = float(params["alpha"])
-        if not math.isfinite(alpha):
-            raise InvalidParameter("power exponent must be finite")
-        return FFunction("power", alpha=alpha)
-    if kind == "linear":
-        a = float(params.get("a", 0.0))
-        b = float(params.get("b", 0.0))
-        if a < 0 or b < 0 or not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidParameter(
-                "linear generator needs a >= 0 and b >= 0 to stay nonnegative on (0, inf)"
-            )
-        return FFunction("linear", a=a, b=b)
-    if kind == "scaled":
-        lam = float(params["lam"])
-        inner = params["inner"]
-        if lam < 0 or not math.isfinite(lam):
-            raise InvalidParameter("scale factor must be a finite nonnegative real")
-        return FFunction("scaled", lam=lam, inner=inner)
-    if kind == "adjoint":
-        return adjoint(params["inner"])
-    raise InvalidParameter(f"unknown generator kind {kind!r}")
+    return _KINDS[kind].make(params)
 
 
 def eval_f(f: FFunction, t: float) -> float:
@@ -214,17 +224,7 @@ def eval_f(f: FFunction, t: float) -> float:
 
 def adjoint(f: FFunction) -> FFunction:
     """The *-adjoint f*(t) = t f(1/t), in closed form where available."""
-    if f.kind == "tv":
-        return f
-    if f.kind == "power":
-        return FFunction("power", alpha=1.0 - f.alpha)
-    if f.kind == "linear":
-        return FFunction("linear", a=f.b, b=f.a)
-    if f.kind == "scaled":
-        return FFunction("scaled", lam=f.lam, inner=adjoint(f.inner))
-    if f.kind == "adjoint":
-        return f.inner
-    return FFunction("adjoint", inner=f)
+    return _KINDS[f.kind].adjoint(f)
 
 
 def weighted_term(f: FFunction, p: float, q: float) -> float:
@@ -261,29 +261,19 @@ def weighted_terms(f: FFunction, p: np.ndarray, q: np.ndarray):
     q = np.asarray(q, dtype=float)
     if np.all(p > 0) and np.all(q > 0):
         return q * np.asarray(f(p / q), dtype=float), 0
-    vals = np.empty(p.shape)
-    hits = 0
-    for j in range(p.size):
-        vals[j] = weighted_term(f, float(p[j]), float(q[j]))
-        if p[j] == 0.0 or q[j] == 0.0:
-            hits += 1
-    return vals, hits
+    vals = [weighted_term(f, pj, qj) for pj, qj in zip(p.ravel().tolist(), q.ravel().tolist())]
+    return np.array(vals).reshape(p.shape), int(np.count_nonzero((p == 0.0) | (q == 0.0)))
 
 
 def from_spec(spec: dict) -> FFunction:
     """Parse the JSON generator spec."""
-    if not isinstance(spec, dict) or "kind" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
         raise InvalidParameter(f"bad generator spec: {spec!r}")
     kind = spec["kind"]
-    if kind == "power":
-        return make_builtin("power", alpha=spec["alpha"])
-    if kind == "linear":
-        return make_builtin("linear", a=spec.get("a", 0.0), b=spec.get("b", 0.0))
-    if kind == "scaled":
-        return make_builtin("scaled", lam=spec["lambda"], inner=from_spec(spec["inner"]))
-    if kind == "adjoint":
-        return make_builtin("adjoint", inner=from_spec(spec["inner"]))
-    return make_builtin(kind)
+    params = {name: spec[key] for key, name in _KINDS[kind].spec.items() if key in spec}
+    if "inner" in params:
+        params["inner"] = from_spec(params["inner"])
+    return make_builtin(kind, **params)
 
 
 class FVector(tuple):

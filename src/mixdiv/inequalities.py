@@ -9,8 +9,8 @@ checks over random instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .divergences import (
     ith_mixed,
     ith_mixed_reference,
 )
-from .ffunctions import FFunction, FVector, weighted_terms
+from .ffunctions import LINEAR, FFunction, FVector, weighted_terms
 from .measures import Density, DensityBundle, MeasureSpace
 
 TOL_INEQ = 1e-10
@@ -126,8 +126,9 @@ def factor_decomposition(
 
 
 def _check_tags_uniform(fv: FVector) -> None:
-    has_convex = any(f.convexity_tag in ("convex", "strictly_convex") for f in fv)
-    has_concave = any(f.convexity_tag in ("concave", "strictly_concave") for f in fv)
+    # a linear entry is both convex and concave, so it mixes with either
+    has_convex = any(f.is_convex and not f.is_concave for f in fv)
+    has_concave = any(f.is_concave and not f.is_convex for f in fv)
     if has_convex and has_concave:
         raise MixedConvexityTags("generator vector mixes convex and concave entries")
 
@@ -158,10 +159,7 @@ def af_check(
             for j in range(i + 1, m)
         )
         null = any(np.all(np.abs(h) <= PROP_TOL) for h in hs)
-        v = InequalityVerdict(
-            v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
-            diagnosis={"effectively_proportional": bool(pairwise or null or m == 1)},
-        )
+        v = replace(v, diagnosis={"effectively_proportional": bool(pairwise or null or m == 1)})
     return v
 
 
@@ -170,14 +168,11 @@ def jensen_bound_check(
 ) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
     value = classical_f_divergence(f, p, q, s).value
-    relation = "ge" if f.convexity_tag in ("convex", "strictly_convex", "linear") else "le"
+    relation = "ge" if f.is_convex else "le"
     v = _verdict(value, f.value_at_one, relation)
     if f.is_strict:
         same = bool(np.all(np.abs(p.values - q.values) <= PROP_TOL * (1 + np.abs(q.values))))
-        v = InequalityVerdict(
-            v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
-            diagnosis={"densities_equal": same},
-        )
+        v = replace(v, diagnosis={"densities_equal": same})
     return v
 
 
@@ -197,7 +192,7 @@ def concave_chain_check(
     prod_ones = math.prod(f.value_at_one for f in fv)
     left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
-    if all(f.convexity_tag == "linear" for f in fv):
+    if all(f.convexity_tag == LINEAR for f in fv):
         combos = []
         for i in range(n):
             a, b = fv[i].a, fv[i].b
@@ -206,10 +201,7 @@ def concave_chain_check(
             np.all(np.abs(combos[0] - c) <= 1e-12 * (1 + np.abs(combos[0])))
             for c in combos[1:]
         )
-        right = InequalityVerdict(
-            right.lhs, right.rhs, right.slack, right.satisfied, right.equality,
-            diagnosis={"convex_combinations_equal": bool(match)},
-        )
+        right = replace(right, diagnosis={"convex_combinations_equal": bool(match)})
     return left, right
 
 
@@ -245,26 +237,71 @@ def interpolation_check(
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
     v = _verdict(d_i, rhs, "le")
     if v.equality:
-        v = InequalityVerdict(
-            v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
-            diagnosis=effective_proportionality(w1, w2, s),
-        )
+        v = replace(v, diagnosis=effective_proportionality(w1, w2, s))
     return v
 
 
-_COROLLARY_CASES = (
-    "concave_band",
-    "convex_concave_high",
-    "concave_convex_low",
-    "reference_concave",
-    "reference_convex_high",
-    "reference_concave_low",
-)
+class _Range(NamedTuple):
+    """Where a corollary lets i lie, and how D(i)^n then compares with the
+    endpoint bound: "le" on the band 0 <= i <= n, "ge" outside it."""
+
+    holds: Callable  # (i, n) -> bool
+    text: str
+    relation: str
+    draw: Callable  # (rng, n) -> the falsifier's random i in the range
 
 
-def _endpoint_bound(f1: FFunction, f2: FFunction, i: float, n: int) -> float:
-    """f1(1)^i f2(1)^(n-i), the right-hand side of every corollary."""
-    return _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
+_BAND = _Range(lambda i, n: 0 <= i <= n, "0 <= i <= n", "le",
+               lambda rng, n: float(rng.uniform(0.0, n)))
+_HIGH = _Range(lambda i, n: i >= n, "i >= n", "ge",
+               lambda rng, n: float(n + rng.uniform(0.0, 3.0)))
+_LOW = _Range(lambda i, n: i <= 0, "i <= 0", "ge",
+              lambda rng, n: -float(rng.uniform(0.0, 3.0)))
+
+
+class _Corollary(NamedTuple):
+    """One endpoint corollary of the interpolation bound. The falsifier
+    draws its instances from these same rules: generators with the tags
+    f1 and f2 ask for, and i from the range."""
+
+    f1: str  # "concave" | "convex": the tag f1 must carry
+    f2: Optional[str]  # the tag f2 must carry; None leaves f2 free
+    range: _Range
+    reference: bool  # P2 = Q2 = mu, with mu a probability measure
+
+
+_COROLLARIES = {
+    "concave_band": _Corollary("concave", "concave", _BAND, False),
+    "convex_concave_high": _Corollary("convex", "concave", _HIGH, False),
+    "concave_convex_low": _Corollary("concave", "convex", _LOW, False),
+    "reference_concave": _Corollary("concave", None, _BAND, True),
+    "reference_convex_high": _Corollary("convex", None, _HIGH, True),
+    "reference_concave_low": _Corollary("concave", None, _LOW, True),
+}
+
+
+def _pair_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
+    if not (f1.is_strict and f2.is_strict):
+        return None
+    stacks = np.stack([P1.values, Q1.values, P2.values, Q2.values])
+    return {"all_densities_equal": bool(
+        np.all(np.abs(stacks - stacks[0]) <= PROP_TOL * (1 + np.abs(stacks[0])))
+    )}
+
+
+def _reference_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
+    if f1.is_strict:
+        unit = np.ones(s.size)
+        return {"pair_equals_reference": bool(
+            np.all(np.abs(P1.values - unit) <= PROP_TOL)
+            and np.all(np.abs(Q1.values - unit) <= PROP_TOL)
+        )}
+    if f1.convexity_tag == LINEAR:
+        a, b = f1.a, f1.b
+        combo = a * P1.values + b * Q1.values
+        return {"linear_combination_constant":
+                bool(np.all(np.abs(combo - (a + b)) <= PROP_TOL * (1 + a + b)))}
+    return None
 
 
 def corollary_bound_check(
@@ -285,83 +322,23 @@ def corollary_bound_check(
     need the second pair (P2, Q2); reference cases integrate against mu
     itself and need a probability space.
     """
-    if case not in _COROLLARY_CASES:
+    row = _COROLLARIES.get(case) if isinstance(case, str) else None
+    if row is None:
         raise RangeMismatch(f"unknown corollary case {case!r}")
-
-    if case in ("concave_band", "convex_concave_high", "concave_convex_low"):
-        if P2 is None or Q2 is None:
-            raise RangeMismatch("pair corollaries need the second density pair")
-        if case == "concave_band":
-            if not (f1.is_concave and f2.is_concave):
-                raise TagMismatch("concave_band needs two concave generators")
-            if not (0 <= i <= n):
-                raise RangeMismatch("concave_band needs 0 <= i <= n")
-            relation = "le"
-        elif case == "convex_concave_high":
-            if not (f1.is_convex and f2.is_concave):
-                raise TagMismatch("needs f1 convex and f2 concave")
-            if i < n:
-                raise RangeMismatch("needs k >= n")
-            relation = "ge"
-        else:
-            if not (f1.is_concave and f2.is_convex):
-                raise TagMismatch("needs f1 concave and f2 convex")
-            if i > 0:
-                raise RangeMismatch("needs k <= 0")
-            relation = "ge"
-        bound = _endpoint_bound(f1, f2, i, n)
-        value = ith_mixed(f1, f2, P1, Q1, P2, Q2, i, n, s).value
-        v = _verdict(_power(value, n), bound, relation)
-        if v.equality and f1.is_strict and f2.is_strict:
-            stacks = np.stack([P1.values, Q1.values, P2.values, Q2.values])
-            all_equal = bool(
-                np.all(np.abs(stacks - stacks[0]) <= PROP_TOL * (1 + np.abs(stacks[0])))
-            )
-            v = InequalityVerdict(
-                v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
-                diagnosis={"all_densities_equal": all_equal},
-            )
-        return v
-
-    # reference cases: P2 = Q2 = mu with mu a probability measure
-    if case == "reference_concave":
-        if not f1.is_concave:
-            raise TagMismatch("reference_concave needs f1 concave")
-        if not (0 <= i <= n):
-            raise RangeMismatch("reference_concave needs 0 <= i <= n")
-        relation = "le"
-    elif case == "reference_convex_high":
-        if not f1.is_convex:
-            raise TagMismatch("reference_convex_high needs f1 convex")
-        if i < n:
-            raise RangeMismatch("needs k >= n")
-        relation = "ge"
+    if not row.reference and (P2 is None or Q2 is None):
+        raise RangeMismatch("pair corollaries need the second density pair")
+    if not (getattr(f1, f"is_{row.f1}") and (row.f2 is None or getattr(f2, f"is_{row.f2}"))):
+        needs = f"f1 {row.f1}" + (f" and f2 {row.f2}" if row.f2 else "")
+        raise TagMismatch(f"{case} needs {needs}")
+    if not row.range.holds(i, n):
+        raise RangeMismatch(f"{case} needs {row.range.text}")
+    bound = _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
+    if row.reference:
+        value = ith_mixed_reference(f1, P1, Q1, i, f2, s, n).value
     else:
-        if not f1.is_concave:
-            raise TagMismatch("reference_concave_low needs f1 concave")
-        if i > 0:
-            raise RangeMismatch("needs k <= 0")
-        relation = "ge"
-    bound = _endpoint_bound(f1, f2, i, n)
-    value = ith_mixed_reference(f1, P1, Q1, i, f2, s, n).value
-    v = _verdict(_power(value, n), bound, relation)
+        value = ith_mixed(f1, f2, P1, Q1, P2, Q2, i, n, s).value
+    v = _verdict(_power(value, n), bound, row.range.relation)
     if v.equality:
-        if f1.is_strict:
-            unit = np.ones(s.size)
-            eq_mu = bool(
-                np.all(np.abs(P1.values - unit) <= PROP_TOL)
-                and np.all(np.abs(Q1.values - unit) <= PROP_TOL)
-            )
-            v = InequalityVerdict(
-                v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
-                diagnosis={"pair_equals_reference": eq_mu},
-            )
-        elif f1.convexity_tag == "linear":
-            a, b = f1.a, f1.b
-            combo = a * P1.values + b * Q1.values
-            ok = bool(np.all(np.abs(combo - (a + b)) <= PROP_TOL * (1 + a + b)))
-            v = InequalityVerdict(
-                v.lhs, v.rhs, v.slack, v.satisfied, v.equality,
-                diagnosis={"linear_combination_constant": ok},
-            )
+        diagnose = _reference_diagnosis if row.reference else _pair_diagnosis
+        v = replace(v, diagnosis=diagnose(f1, f2, P1, Q1, P2, Q2, s))
     return v

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mixdiv import adjoint, eval_f, from_spec, make_builtin, weighted_term
 from mixdiv.errors import DomainError, IndeterminateValue, InvalidParameter
+from mixdiv.ffunctions import _KINDS
 
 GRID = np.logspace(-6, 6, 1000)
 
@@ -171,3 +174,31 @@ def test_json_spec_round_trip():
 def test_adjoint_spec_collapses_to_closed_form():
     f = from_spec({"kind": "adjoint", "inner": {"kind": "power", "alpha": 0.25}})
     assert f.describe() == {"kind": "power", "alpha": 0.75}
+
+
+def test_scaled_generator_evaluates_at_a_scalar():
+    f = make_builtin("scaled", lam=2.0, inner=make_builtin("power", alpha=0.5))
+    assert eval_f(f, 4.0) == 4.0
+    assert weighted_term(f, 1.0, 4.0) == 4.0
+    assert adjoint(f)(4.0) == 4.0
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("power", {}),
+    ("power", {"alpha": "x"}),
+    ("linear", {"a": [1.0]}),
+    ("scaled", {"inner": make_builtin("tv")}),
+    ("scaled", {"lam": 1.0}),
+    ("adjoint", {}),
+])
+def test_make_builtin_bad_parameters_raise(kind, params):
+    with pytest.raises(InvalidParameter):
+        make_builtin(kind, **params)
+
+
+def test_readme_lists_the_generator_kinds_and_spec_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Generator kinds and their spec keys:(.*?)\n\n", readme, re.S).group(1)
+    entries = [re.findall(r"`([^`]+)`", part) for part in listed.split(";")]
+    registry = [(kind, tuple(entry.spec)) for kind, entry in _KINDS.items()]
+    assert [(names[0], tuple(names[1:])) for names in entries] == registry

@@ -330,6 +330,55 @@ def test_corollary_range_mismatch(rng):
         )
 
 
+CONVEX, CONCAVE = make_builtin("power", alpha=2.0), make_builtin("power", alpha=0.5)
+
+# case -> (f1, f2, i) that satisfy the case's tag and range rules at n = 2
+COROLLARY_RULES = {
+    "concave_band": (CONCAVE, CONCAVE, 1.0),
+    "convex_concave_high": (CONVEX, CONCAVE, 3.0),
+    "concave_convex_low": (CONCAVE, CONVEX, -1.0),
+    "reference_concave": (CONCAVE, CONVEX, 1.0),
+    "reference_convex_high": (CONVEX, CONCAVE, 3.0),
+    "reference_concave_low": (CONCAVE, CONVEX, -1.0),
+}
+
+
+def _flip(f):
+    return CONCAVE if f is CONVEX else CONVEX
+
+
+def _corollary(case, f1, f2, i):
+    space = make_space([0.5, 0.5])
+    p = Density([1.0, 1.0])
+    return corollary_bound_check(case, f1, f2, p, p, i, 2, space, P2=p, Q2=p)
+
+
+@pytest.mark.parametrize("case", COROLLARY_RULES)
+def test_corollary_rules_accept_their_instance(case):
+    assert _corollary(case, *COROLLARY_RULES[case]).satisfied
+
+
+@pytest.mark.parametrize("case,slot", [
+    (case, slot) for case in COROLLARY_RULES
+    for slot in ((0, 1) if not case.startswith("reference") else (0,))
+])
+def test_corollary_tag_rule_every_case(case, slot):
+    args = list(COROLLARY_RULES[case])
+    args[slot] = _flip(args[slot])
+    with pytest.raises(TagMismatch):
+        _corollary(case, *args)
+
+
+@pytest.mark.parametrize("case,i", [
+    (case, i) for case, (_, _, inside) in COROLLARY_RULES.items()
+    for i in {1.0: (-0.5, 2.5), 3.0: (1.5,), -1.0: (0.5,)}[inside]
+])
+def test_corollary_range_rule_every_case(case, i):
+    f1, f2, _ = COROLLARY_RULES[case]
+    with pytest.raises(RangeMismatch):
+        _corollary(case, f1, f2, i)
+
+
 # -- falsifier ---------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from mixdiv import (
     Density,
     DensityBundle,
     FVector,
+    FalsifyConfig,
     af_check,
     corollary_bound_check,
     falsify,
@@ -22,9 +23,11 @@ from mixdiv import (
     make_space,
     named_divergence,
 )
+from mixdiv import errors
 from mixdiv.cli import main
 from mixdiv.errors import (
     DegenerateExponent,
+    IndexOutOfRange,
     InvalidParameter,
     NonFiniteValue,
     RangeMismatch,
@@ -204,3 +207,58 @@ def test_readme_lists_the_registered_inequality_ids():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     listed = re.search(r"Registered inequality ids:(.*?)\n\n", readme, re.S).group(1)
     assert tuple(re.findall(r"`([^`]+)`", listed)) == INEQUALITY_IDS
+
+
+# -- malformed specs ---------------------------------------------------------
+
+
+MALFORMED_SPECS = {
+    "grid_not_object": ("geometry", {"grid": 5, "tasks": []}),
+    "densities_not_object": ("compute", {
+        "space": {"weights": [1, 1, 1]}, "densities": [1, 2], "tasks": [],
+    }),
+    "power_without_alpha": ("compute", _verify_spec(
+        {"type": "classical", "f": {"kind": "power"}, "p": "p", "q": "q"})),
+    "scaled_without_lambda": ("compute", _verify_spec({
+        "type": "classical", "f": {"kind": "scaled", "inner": {"kind": "tv"}}, "p": "p", "q": "q",
+    })),
+    "classical_without_p": ("compute", _verify_spec(
+        {"type": "classical", "f": {"kind": "tv"}, "q": "q"})),
+    "corollary_p2_without_q2": ("verify", _verify_spec({
+        "type": "corollary", "case": "concave_band", "f1": {"kind": "power", "alpha": 0.5},
+        "f2": {"kind": "power", "alpha": 0.5}, "p1": "p", "q1": "q", "p2": "p", "i": 1, "n": 2,
+    })),
+    "tasks_not_list": ("compute", {"space": {"weights": [1, 1, 1]}, "tasks": 5}),
+    "fs_not_list": ("compute", _verify_spec(
+        {"type": "mixed", "fs": 5, "ps": ["p"], "qs": ["q"]})),
+    "task_not_object": ("verify", {"space": {"weights": [1, 1, 1]}, "tasks": [5]}),
+    "trials_not_integer": ("falsify", {"tasks": [{"inequality": "af_check", "trials": "x"}]}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SPECS)
+def test_malformed_spec_exits_2_with_a_typed_error(tmp_path, capsys, name):
+    command, payload = MALFORMED_SPECS[name]
+    spec = _write(tmp_path, "s.json", payload)
+    assert main([command, "--spec", spec]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert issubclass(getattr(errors, error), errors.MixdivError)
+
+
+def test_falsify_negative_seed_raises():
+    with pytest.raises(InvalidParameter):
+        falsify("af_check", -1, 3)
+
+
+@pytest.mark.parametrize("config", [{"max_atoms": 1}, {"max_n": 0}])
+def test_falsify_config_too_small_raises(config):
+    with pytest.raises(InvalidParameter):
+        FalsifyConfig(**config)
+
+
+def test_ith_reference_n_zero_raises():
+    s = make_space([0.5, 0.5])
+    p, q = Density([0.8, 1.2]), Density([1.5, 0.5])
+    f = make_builtin("power", alpha=0.5)
+    with pytest.raises(IndexOutOfRange):
+        ith_mixed_reference(f, p, q, 0.0, f, s, 0)

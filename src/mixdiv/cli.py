@@ -21,7 +21,7 @@ import numpy as np
 
 from . import divergences, geometry, inequalities
 from .falsify import FalsifyConfig, falsify as run_falsify_trials
-from .errors import MixdivError, SpecError
+from .errors import MixdivError, OutputError, SpecError
 from .ffunctions import FVector, from_spec
 from .measures import Density, DensityBundle, make_space, validate_density
 
@@ -340,11 +340,14 @@ _FORMATS = {
 
 def _emit(report, fmt, out):
     text = _FORMATS[fmt](report)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write report: {exc}") from exc
 
 
 _COMMANDS = {
@@ -370,12 +373,12 @@ def main(argv=None) -> int:
 
     try:
         report, code = _COMMANDS[args.command](_load_spec(args.spec), args)
+        _emit(report, args.format, args.out)
     except MixdivError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
         ) + "\n")
         return 2
-    _emit(report, args.format, args.out)
     return code
 
 

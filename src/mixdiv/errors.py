@@ -97,3 +97,7 @@ class SingularMatrix(MixdivError):
 
 class SpecError(MixdivError):
     """Malformed run spec / JSON input (CLI exit code 2)."""
+
+
+class OutputError(MixdivError):
+    """The report could not be written to its --out file (CLI exit code 2)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .divergences import DivergenceReport, ith_mixed, mixed_f_divergence
 from .ffunctions import FFunction, FVector
 from .inequalities import InequalityVerdict, _verdict
 from .measures import Density, DensityBundle, MeasureSpace
+
+
+_BLOCK = 8192  # nodes per block of the body kernels; its temporaries stay in cache
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,8 +46,9 @@ class CircleGrid:
     node_count: int = 256
 
     def __post_init__(self):
-        if self.node_count < 64 or self.node_count % 2:
-            raise InvalidParameter("node_count must be even and >= 64")
+        n = self.node_count
+        if not (isinstance(n, Integral) and n >= 64 and n % 2 == 0):
+            raise InvalidParameter(f"node_count must be an even integer >= 64, got {n!r}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -63,11 +68,27 @@ class CircleGrid:
         m*theta_j and theta_{m*j mod N} differ by a multiple of 2*pi, so the
         lookup is exact and never rounds m*theta_j.
         """
+        if m % self.node_count == 1:
+            return self._trig
+        _, c, s = zip(*self._blocks(m))
+        return np.concatenate(c), np.concatenate(s)
+
+    def _blocks(self, m: int):
+        """Yield (slice, cos m*theta, sin m*theta) over blocks of _BLOCK nodes.
+
+        Indices are (m*i) mod N plus the block's offset (m*start) mod N, so
+        `take(mode="wrap")` reduces each with at most one subtraction."""
         c, s = self._trig
-        if m == 1:
-            return c, s
-        idx = (m * np.arange(self.node_count)) % self.node_count
-        return c[idx], s[idx]
+        N = self.node_count
+        m %= N
+        pattern = (m * np.arange(min(_BLOCK, N))) % N
+        for start in range(0, N, _BLOCK):
+            block = slice(start, min(start + _BLOCK, N))
+            if m == 1:
+                yield block, c[block], s[block]
+            else:
+                idx = pattern[: block.stop - start] + (m * start) % N
+                yield block, c.take(idx, mode="wrap"), s.take(idx, mode="wrap")
 
     def space(self) -> MeasureSpace:
         return MeasureSpace(self.weights)
@@ -87,13 +108,17 @@ class ConvexBody2D:
     k: int = 2
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
+        for name in ("a", "b", "phi", "eps", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"body parameter {name} must be finite")
         if self.family == "ellipse":
-            if self.a <= 0 or self.b <= 0:
+            if not (self.a > 0 and self.b > 0):
                 raise InvalidParameter("ellipse semi-axes must be positive")
         elif self.family == "trigball":
-            if self.k < 2 or int(self.k) != self.k:
+            if not (self.k >= 2 and int(self.k) == self.k):
                 raise InvalidParameter("trigball frequency must be an integer >= 2")
-            if abs(self.eps) * (self.k ** 2 - 1) >= 1:
+            if not abs(self.eps) * (self.k ** 2 - 1) < 1:
                 raise InvalidParameter(
                     "trigball needs |eps|(k^2 - 1) < 1 for positive curvature"
                 )
@@ -103,34 +128,32 @@ class ConvexBody2D:
     @property
     def _frequency(self) -> int:
         """The m with h a function of (cos m*theta, sin m*theta)."""
-        return 1 if self.family == "ellipse" else self.k
+        return 1 if self.family == "ellipse" else int(self.k)
 
-    def _derivatives(self, c, s):
-        """(h, h', h'') from c = cos(m*theta), s = sin(m*theta), m = _frequency."""
+    def _kernel(self, c, s):
+        """(h, h', f) from c = cos(m*theta), s = sin(m*theta), m = _frequency,
+        with the curvature function f = h + h'' in closed form."""
         if self.family == "ellipse":
             cp, sp = math.cos(self.phi), math.sin(self.phi)
             # u = theta - phi; h^2 = a^2 cos^2 u + b^2 sin^2 u
             cu = c * cp + s * sp
             su = s * cp - c * sp
-            cu2, su2 = cu ** 2, su ** 2
-            d = self.b ** 2 - self.a ** 2
-            h = np.sqrt(self.a ** 2 * cu2 + self.b ** 2 * su2)
-            # (h^2)'/2 = d sin u cos u and (h^2)''/2 = d (cos^2 u - sin^2 u)
-            hp = d * su * cu / h
-            hpp = (d * (cu2 - su2) - hp ** 2) / h
-            return h, hp, hpp
+            h = np.sqrt(self.a ** 2 * (cu * cu) + self.b ** 2 * (su * su))
+            # (h^2)'/2 = (b^2 - a^2) sin u cos u; f = (ab)^2/h^3 in closed
+            # form, as h + h'' cancels on eccentric ellipses
+            hp = (self.b ** 2 - self.a ** 2) * su * cu / h
+            return h, hp, (self.a * self.b) ** 2 / (h * h * h)
         h = 1.0 + self.eps * c
-        hp = -self.eps * self.k * s
-        hpp = -self.eps * self.k ** 2 * c
-        return h, hp, hpp
+        return h, -self.eps * self.k * s, 1.0 + self.eps * (1 - self.k ** 2) * c
 
     def support(self, theta):
         return self.support_derivatives(theta)[0]
 
     def support_derivatives(self, theta):
-        """(h, h', h'') evaluated analytically."""
+        """(h, h', h'') evaluated analytically, with h'' = f - h."""
         mt = self._frequency * np.asarray(theta, dtype=float)
-        return self._derivatives(np.cos(mt), np.sin(mt))
+        h, hp, f = self._kernel(np.cos(mt), np.sin(mt))
+        return h, hp, f - h
 
 
 def ellipse(a: float, b: float, phi: float = 0.0) -> ConvexBody2D:
@@ -145,13 +168,26 @@ def unit_disk() -> ConvexBody2D:
     return ellipse(1.0, 1.0)
 
 
+def _stream(K: ConvexBody2D, grid: CircleGrid):
+    """Yield (slice, h, h', f) over the grid's blocks; NotC2Plus unless h and f
+    are positive (a NaN fails too)."""
+    for block, c, s in grid._blocks(K._frequency):
+        h, hp, f = K._kernel(c, s)
+        if not ((h > 0).all() and (f > 0).all()):
+            raise NotC2Plus("support or curvature function is not positive on the grid")
+        yield block, h, hp, f
+
+
 def body_eval(K: ConvexBody2D, grid: CircleGrid) -> dict:
-    """Per-node h, h', h'' and the curvature function f = h + h''."""
-    h, hp, hpp = K._derivatives(*grid.harmonic(K._frequency))
-    f = h + hpp
-    if np.any(h <= 0) or np.any(f <= 0):
-        raise NotC2Plus("support or curvature function is nonpositive on the grid")
-    return {"h": h, "hp": hp, "hpp": hpp, "f": f}
+    """Per-node h, h', h'' and the curvature function f = h + h'', filled
+    block by block."""
+    # rows of one allocation: separately freed full-size arrays go back to the
+    # OS, and the next call faults their pages in again
+    ev = dict(zip(("h", "hp", "hpp", "f"), np.empty((4, grid.node_count))))
+    for block, h, hp, f in _stream(K, grid):
+        ev["h"][block], ev["hp"][block], ev["f"][block] = h, hp, f
+        np.subtract(f, h, out=ev["hpp"][block])
+    return ev
 
 
 @dataclass(frozen=True)
@@ -162,31 +198,29 @@ class BodyFunctionals:
     affine_surface_area: float
 
 
-def _volumes(ev: dict, grid: CircleGrid) -> tuple[float, float]:
-    """(|K|, |K*|) from one body evaluation."""
-    w = grid.weights
-    return (float(0.5 * np.dot(ev["h"] * ev["f"], w)),
-            float(0.5 * np.dot(ev["h"] ** -2, w)))
-
-
 def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
-    ev = body_eval(K, grid)
-    f, w = ev["f"], grid.weights
-    volume, polar_volume = _volumes(ev, grid)
-    return BodyFunctionals(
-        volume=volume,
-        polar_volume=polar_volume,
-        boundary_length=float(np.dot(f, w)),
-        affine_surface_area=float(np.dot(f ** (2.0 / 3.0), w)),
-    )
+    """|K| = (1/2) int h f, |K*| = (1/2) int h^-2, |dK| = int f and
+    as(K) = int f^(2/3), summed block by block."""
+    sums = np.zeros(4)
+    w = grid.weights
+    for block, h, _, f in _stream(K, grid):
+        wb = w[block]
+        sums += (np.dot(h * f, wb), np.dot(1.0 / (h * h), wb),
+                 np.dot(f, wb), np.dot(np.cbrt(f * f), wb))
+    hf, h_2, length, asa = sums.tolist()
+    return BodyFunctionals(0.5 * hf, 0.5 * h_2, length, asa)
 
 
 def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]:
-    """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|)."""
-    ev = body_eval(K, grid)
-    volume, polar_volume = _volumes(ev, grid)
-    p = 1.0 / (2.0 * polar_volume * ev["h"] ** 2)
-    q = ev["f"] * ev["h"] / (2.0 * volume)
+    """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|), formed as
+    h^-2 and f h, each divided by its trapezoid sum 2|K*| or 2|K|, in the rows
+    of one allocation as in `body_eval`."""
+    ev, w = body_eval(K, grid), grid.weights
+    p, q = np.empty((2, grid.node_count))
+    np.divide(1.0, np.multiply(ev["h"], ev["h"], out=p), out=p)
+    np.multiply(ev["f"], ev["h"], out=q)
+    p /= np.dot(p, w)
+    q /= np.dot(q, w)
     return Density(p), Density(q)
 
 
@@ -235,6 +269,8 @@ def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
     if K.family != "ellipse":
         raise UnsupportedFamily("only ellipses are closed under linear maps")
     T = np.asarray(T, dtype=float)
+    if not np.isfinite(T).all():
+        raise InvalidParameter("linear map entries must be finite")
     if T.shape != (2, 2) or abs(np.linalg.det(T)) < 1e-14:
         raise SingularMatrix("need an invertible 2x2 matrix")
     c, s = math.cos(K.phi), math.sin(K.phi)

@@ -20,6 +20,7 @@ from mixdiv import (
     unit_disk,
 )
 from mixdiv.errors import InvalidParameter, SingularMatrix, UnsupportedFamily
+from mixdiv.geometry import _BLOCK, ConvexBody2D
 
 from conftest import random_det_one_map
 
@@ -298,3 +299,110 @@ def test_grid_equality_and_hash():
     a.harmonic(3)  # computed tables do not take part in equality
     assert a == b and hash(a) == hash(b)
     assert CircleGrid(256) != CircleGrid(512)
+
+
+# -- block streaming across block seams --------------------------------------
+
+# three full blocks and a short last one
+SEAM_GRID = CircleGrid(3 * _BLOCK + 2)
+
+
+def _rel_max(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m", [2, 5, 997])
+def test_block_gather_is_the_exact_table_lookup(m):
+    N = SEAM_GRID.node_count
+    c1, s1 = SEAM_GRID.harmonic(1)
+    c, s = SEAM_GRID.harmonic(m)
+    idx = (m * np.arange(N)) % N
+    assert np.array_equal(c, c1[idx]) and np.array_equal(s, s1[idx])
+
+
+@pytest.mark.parametrize("K", [ellipse(2.0, 0.5, 0.3), trigball(0.03, 5)])
+def test_block_seams_agree_with_plain_numpy(K):
+    grid, w = SEAM_GRID, SEAM_GRID.weights
+    h, hp, hpp = K.support_derivatives(grid.nodes)
+    f = h + hpp
+    ev = body_eval(K, grid)
+    for key, x in zip(("h", "hp", "hpp", "f"), (h, hp, hpp, f)):
+        assert _rel_max(ev[key], x) <= 1e-13
+    fn = body_functionals(K, grid)
+    ref = {
+        "volume": 0.5 * np.dot(h * f, w),
+        "polar_volume": 0.5 * np.dot(h ** -2, w),
+        "boundary_length": np.dot(f, w),
+        "affine_surface_area": np.dot(f ** (2 / 3), w),
+    }
+    for name, value in ref.items():
+        assert getattr(fn, name) == pytest.approx(value, rel=1e-13)
+    p, q = body_densities(K, grid)
+    assert _rel_max(p.values, h ** -2 / np.dot(h ** -2, w)) <= 1e-13
+    assert _rel_max(q.values, h * f / np.dot(h * f, w)) <= 1e-13
+
+
+@pytest.mark.parametrize("K", [ellipse(2.0, 0.5, 0.3), trigball(0.03, 5)])
+def test_body_functionals_builds_no_full_size_array(K):
+    import tracemalloc
+
+    grid = CircleGrid(32 * _BLOCK)
+    grid.weights, grid.harmonic(1)  # the grid's own tables are built once
+    tracemalloc.start()
+    try:
+        body_functionals(K, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.node_count
+
+
+@pytest.mark.parametrize("K", [ellipse(100.0, 0.01), ellipse(2.0, 0.5, 5.9)])
+def test_closed_form_curvature_matches_mpmath(K):
+    mpmath = pytest.importorskip("mpmath")
+    grid = CircleGrid(1024)
+    f = body_eval(K, grid)["f"]
+    with mpmath.workdps(40):
+        a, b, d = mpmath.mpf(K.a), mpmath.mpf(K.b), mpmath.mpf(K.b) ** 2 - mpmath.mpf(K.a) ** 2
+        ref = []
+        for theta in grid.nodes:
+            u = mpmath.mpf(float(theta)) - mpmath.mpf(K.phi)
+            cu, su = mpmath.cos(u), mpmath.sin(u)
+            h = mpmath.sqrt(a ** 2 * cu ** 2 + b ** 2 * su ** 2)
+            hp = d * su * cu / h
+            # f = h + h'' from (h^2)''/2 = h h'' + h'^2 = d (cos^2 u - sin^2 u)
+            ref.append(float(h + (d * (cu ** 2 - su ** 2) - hp ** 2) / h))
+    ref = np.array(ref)
+    assert np.max(np.abs(f - ref) / ref) <= 1e-14
+
+
+# -- typed validation of geometry inputs -------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("family,kwargs", [
+    ("ellipse", {"a": NAN}), ("ellipse", {"b": NAN}), ("ellipse", {"a": INF}),
+    ("ellipse", {"b": -INF}), ("ellipse", {"phi": NAN}), ("ellipse", {"phi": INF}),
+    ("trigball", {"eps": NAN}), ("trigball", {"eps": INF}),
+    ("trigball", {"k": NAN}), ("trigball", {"k": INF}), ("trigball", {"k": 2.5}),
+])
+def test_body_rejects_non_finite_parameters(family, kwargs):
+    with pytest.raises(InvalidParameter):
+        ConvexBody2D(family, **kwargs)
+
+
+@pytest.mark.parametrize("n", [256.0, "256", NAN, None, 257, 62])
+def test_grid_rejects_a_bad_node_count(n):
+    with pytest.raises(InvalidParameter):
+        CircleGrid(n)
+
+
+def test_grid_accepts_a_numpy_integer():
+    assert CircleGrid(np.int64(256)) == GRID
+
+
+@pytest.mark.parametrize("T", [[[NAN, 0.0], [0.0, 1.0]], [[1.0, INF], [0.0, 1.0]]])
+def test_linear_map_rejects_non_finite_entries(T):
+    with pytest.raises(InvalidParameter):
+        apply_linear_map(ellipse(2.0, 0.5), T)

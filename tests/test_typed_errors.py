@@ -262,3 +262,33 @@ def test_ith_reference_n_zero_raises():
     f = make_builtin("power", alpha=0.5)
     with pytest.raises(IndexOutOfRange):
         ith_mixed_reference(f, p, q, 0.0, f, s, 0)
+
+
+# -- geometry inputs and report output ---------------------------------------
+
+
+def _geometry_spec(body):
+    return {"grid": {"nodes": 256}, "bodies": {"K": body},
+            "tasks": [{"type": "functionals", "body": "K"}]}
+
+
+@pytest.mark.parametrize("body", [
+    {"family": "ellipse", "a": float("nan"), "b": 1.0},
+    {"family": "ellipse", "a": 1.0, "b": float("inf")},
+    {"family": "ellipse", "a": 2.0, "b": 1.0, "phi": float("nan")},
+    {"family": "trigball", "eps": float("nan"), "k": 3},
+])
+def test_geometry_non_finite_body_exits_2(tmp_path, capsys, body):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    spec = _write(tmp_path, "g.json", _geometry_spec(body))
+    assert main(["geometry", "--spec", spec]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    spec = _write(tmp_path, "g.json", _geometry_spec({"family": "ellipse", "a": 2.0, "b": 1.0}))
+    out = str(tmp_path / "missing" / "report.json")
+    assert main(["geometry", "--spec", spec, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "OutputError"

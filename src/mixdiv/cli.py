@@ -60,13 +60,20 @@ def _is(kind):
 _LIST, _STR = _is(list), _is(str)
 
 
+def _int(value) -> int:
+    """A JSON integer, or a float with an integral value; not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
 class _Reader:
     """Typed reads of one JSON object of a spec. `get` raises SpecError when
-    the field is missing or when the converter `to` (float, int, _LIST, ...)
+    the field is missing or when the converter `to` (float, _int, _LIST, ...)
     rejects it; a default is returned as given."""
 
     def __init__(self, data, where):
@@ -188,15 +195,15 @@ _COMPUTE = {
         r.fs("fs"), r.bundle("ps"), r.bundle("qs"),
     )),
     "k_form": lambda r: r.report(divergences.mixed_k_form(
-        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("k", int),
+        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("k", _int),
     )),
     "ith": lambda r: r.report(divergences.ith_mixed(
         r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
-        r.get("i", float), r.get("n", int), r.space,
+        r.get("i", float), r.get("n", _int), r.space,
     )),
     "ith_reference": lambda r: r.report(divergences.ith_mixed_reference(
         r.f("f1"), r.ref("p1"), r.ref("q1"), r.get("i", float), r.f("f2"),
-        r.space, r.get("n", int),
+        r.space, r.get("n", _int),
     )),
     "named": _named,
 }
@@ -206,13 +213,13 @@ def _corollary(r):
     pair = {"P2": r.ref("p2"), "Q2": r.ref("q2")} if "p2" in r.data else {}
     return r.verdicts(inequalities.corollary_bound_check(
         r.get("case", _STR), r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"),
-        r.get("i", float), r.get("n", int), r.space, **pair,
+        r.get("i", float), r.get("n", _int), r.space, **pair,
     ))
 
 
 _VERIFY = {
     "af": lambda r: r.verdicts(inequalities.af_check(
-        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("m", int),
+        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("m", _int),
     )),
     "jensen": lambda r: r.verdicts(inequalities.jensen_bound_check(
         r.f("f"), r.ref("p"), r.ref("q"), r.space,
@@ -222,7 +229,7 @@ _VERIFY = {
     )),
     "interpolation": lambda r: r.verdicts(inequalities.interpolation_check(
         r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
-        r.get("i", float), r.get("j", float), r.get("k", float), r.get("n", int), r.space,
+        r.get("i", float), r.get("j", float), r.get("k", float), r.get("n", _int), r.space,
     )),
     "corollary": _corollary,
 }
@@ -243,13 +250,13 @@ def run_falsify(spec, seed=None, trials=None):
     for task in _Reader(spec, "spec").get("tasks", _LIST):
         task = _Reader(task, "falsify task")
         cfg = FalsifyConfig(
-            max_atoms=task.get("max_atoms", int, 12),
-            max_n=task.get("max_n", int, 4),
+            max_atoms=task.get("max_atoms", _int, 12),
+            max_n=task.get("max_n", _int, 4),
         )
         results.append(run_falsify_trials(
             task.get("inequality", _STR),
-            task.get("seed", int, seed if seed is not None else 0),
-            task.get("trials", int, trials if trials is not None else 1000),
+            task.get("seed", _int, seed if seed is not None else 0),
+            task.get("trials", _int, trials if trials is not None else 1000),
             cfg,
         ))
     code = 1 if any(report["violations"] > 0 for report in results) else 0
@@ -260,7 +267,7 @@ _BODIES = {
     "ellipse": lambda b: geometry.ellipse(
         b.get("a", float), b.get("b", float), b.get("phi", float, 0.0)
     ),
-    "trigball": lambda b: geometry.trigball(b.get("eps", float), b.get("k", int)),
+    "trigball": lambda b: geometry.trigball(b.get("eps", float), b.get("k", _int)),
 }
 
 
@@ -315,7 +322,7 @@ _GEOMETRY = {
 
 def run_geometry(spec, emit_integrand=False):
     spec = _Reader(spec, "spec")
-    grid = geometry.CircleGrid(spec.section("grid", {}).get("nodes", int, 256))
+    grid = geometry.CircleGrid(spec.section("grid", {}).get("nodes", _int, 256))
     named = spec.section("bodies", {})
     bodies = {name: _parse_body(named.section(name)) for name in named.data}
     inputs = {"grid": grid, "named": bodies, "emit": emit_integrand}

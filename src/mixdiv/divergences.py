@@ -37,13 +37,6 @@ class DivergenceReport:
     convention_hits: int = 0
 
 
-def _report(space: MeasureSpace, integrand: np.ndarray, hits: int = 0) -> DivergenceReport:
-    value = float(np.dot(integrand, space.weights))
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"divergence evaluates to {value!r}")
-    return DivergenceReport(value=value, integrand=integrand, convention_hits=hits)
-
-
 def _power(base: float, exponent: float) -> float:
     """base ** exponent for base >= 0, with typed errors for the two cases
     Python floats raise on: 0 to a negative power, and overflow."""
@@ -56,9 +49,11 @@ def _power(base: float, exponent: float) -> float:
 
 
 class _Slots:
-    """The per-atom integrands w_i of one call's n slots, each evaluated once.
+    """The per-atom integrands w_i of one call's n slots, each evaluated once,
+    on one space, with the 0*inf convention hits of their evaluation.
 
-    log(w_i) and w_i ** (1/n) are computed lazily, at most once per slot.
+    Every integrand is an ordered product of powers w_i ** e (`power`). Logs
+    and roots (e = 1/n) recur across products and are kept for the call.
     `product(idx)` is the per-atom geometric mean prod_{i in idx} w_i^(1/n)
     over any n slot indices (repeats allowed), in log-space when every chosen
     slot is above _LOG_FLOOR. Rows are accumulated in slot order, as numpy's
@@ -68,57 +63,78 @@ class _Slots:
     the last bit can differ.)
     """
 
-    def __init__(self, terms: list, hits: int = 0):
+    def __init__(self, terms, space: MeasureSpace, hits: int = 0):
         self.w = terms
         self.n = len(terms)
+        self.space = space
         self.hits = hits
-        self._safe = [w.min() > _LOG_FLOOR for w in terms]
-        self._log = [None] * self.n
-        self._root = [None] * self.n
+        self._safe = None  # per slot: is w_i above _LOG_FLOOR? set by `product`
+        self._memo = {}
 
     @classmethod
-    def evaluate(cls, slots) -> "_Slots":
+    def evaluate(cls, slots, space: MeasureSpace) -> "_Slots":
         """Slots from (f, p, q) triples via weighted_terms."""
-        terms, hits = [], 0
-        for f, p, q in slots:
-            w, h = weighted_terms(f, p, q)
-            terms.append(w)
-            hits += h
-        return cls(terms, hits)
+        terms, hits = zip(*[weighted_terms(f, p, q) for f, p, q in slots])
+        return cls(terms, space, sum(hits))
 
-    def _cached(self, cache: list, i: int, make):
-        if cache[i] is None:
-            cache[i] = make(self.w[i])
-        return cache[i]
+    def report(self, integrand: np.ndarray) -> DivergenceReport:
+        value = float(np.dot(integrand, self.space.weights))
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"divergence evaluates to {value!r}")
+        return DivergenceReport(value=value, integrand=integrand, convention_hits=self.hits)
 
-    def root(self, i: int) -> np.ndarray:
-        return self._cached(self._root, i, lambda w: w ** (1.0 / self.n))
+    def _term(self, i: int, e=None) -> np.ndarray:
+        """w_i ** e, or log(w_i) when e is None."""
+        t = self._memo.get((i, e))
+        if t is None:
+            w = self.w[i]
+            if e is not None and e < 0.0 and (w == 0.0).any():
+                raise DegenerateExponent("zero integrand factor raised to a negative power")
+            t = np.log(w) if e is None else w ** e
+            if e is None or e == 1.0 / self.n:  # other powers are used once: not held
+                self._memo[i, e] = t
+        return t
 
-    def root_product(self, idx) -> np.ndarray:
-        out = self.root(idx[0]).copy()
-        for i in idx[1:]:
-            out *= self.root(i)
+    def power(self, pairs) -> np.ndarray:
+        """prod of w_i ** e over (slot, exponent) pairs, in order; a zero exponent
+        gives 1. The result may be a kept root: callers never write into it."""
+        factors = [self._term(i, e) for i, e in pairs if e != 0.0]
+        if len(factors) < 2:
+            return factors[0] if factors else np.ones(self.space.size)
+        out = factors[0] * factors[1]
+        for x in factors[2:]:
+            out *= x
         return out
+
+    def ith(self, i: float, n: int) -> np.ndarray:
+        """The i-th mixed integrand w_0^(i/n) w_1^((n-i)/n)."""
+        return self.power(((0, i / n), (1, (n - i) / n)))
 
     def product(self, idx=None) -> np.ndarray:
         idx = range(self.n) if idx is None else idx
+        if self._safe is None:
+            self._safe = [w.min() > _LOG_FLOOR for w in self.w]
         if not all(self._safe[i] for i in idx):
-            return self.root_product(idx)
-        out = self._cached(self._log, idx[0], np.log).copy()
+            return self.power((i, 1.0 / self.n) for i in idx)
+        out = self._term(idx[0]).copy()
         for i in idx[1:]:
-            out += self._cached(self._log, i, np.log)
+            out += self._term(i)
         out /= self.n
         return np.exp(out, out=out)
 
 
-def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle) -> _Slots:
-    """The validated slots (f_i, p_i, q_i) of D(P, Q) for generators fv."""
+def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf) -> _Slots:
+    """Validated slots of D(P, Q): (f_i, p_i, q_i) for i < k, else (f_i*, q_i, p_i)."""
     n = len(fv)
     if len(P) != n or len(Q) != n:
         raise LengthMismatch("generator vector and bundles must share one length")
     if P.space.size != Q.space.size:
         raise SpaceMismatch("bundles live on different spaces")
-    return _Slots.evaluate((fv[i], P[i].values, Q[i].values) for i in range(n))
+    return _Slots.evaluate((
+        (fv[i], P[i].values, Q[i].values) if i < k
+        else (adjoint(fv[i]), Q[i].values, P[i].values)
+        for i in range(n)
+    ), P.space)
 
 
 def classical_f_divergence(
@@ -127,8 +143,8 @@ def classical_f_divergence(
     """D_f(P, Q) = sum_j f(p_j/q_j) q_j mu_j."""
     if len(p) != s.size or len(q) != s.size:
         raise SpaceMismatch("densities do not match the space size")
-    terms, hits = weighted_terms(f, p.values, q.values)
-    return _report(s, terms, hits)
+    slots = _Slots.evaluate([(f, p.values, q.values)], s)
+    return slots.report(slots.w[0])
 
 
 def mixed_f_divergence(
@@ -136,36 +152,17 @@ def mixed_f_divergence(
 ) -> DivergenceReport:
     """Geometric mean of the n weighted integrands, summed against mu."""
     slots = _mixed_slots(fv, P, Q)
-    return _report(P.space, slots.product(), slots.hits)
+    return slots.report(slots.product())
 
 
 def mixed_k_form(
     fv: FVector, P: DensityBundle, Q: DensityBundle, k: int
 ) -> DivergenceReport:
     """First k slots use (f_i, p_i, q_i); the rest use (f_i*, q_i, p_i)."""
-    n = len(fv)
-    if not (0 <= k <= n):
-        raise IndexOutOfRange(f"k must be in 0..{n}, got {k}")
-    if len(P) != n or len(Q) != n:
-        raise LengthMismatch("generator vector and bundles must share one length")
-    slots = _Slots.evaluate(
-        (fv[i], P[i].values, Q[i].values) if i < k
-        else (adjoint(fv[i]), Q[i].values, P[i].values)
-        for i in range(n)
-    )
-    return _report(P.space, slots.product(), slots.hits)
-
-
-def _powered_factor(w: np.ndarray, exponent: float) -> np.ndarray:
-    if exponent == 0.0:
-        return np.ones_like(w)
-    if exponent < 0.0 and np.any(w == 0.0):
-        raise DegenerateExponent("zero integrand factor raised to a negative power")
-    return w ** exponent
-
-
-def _ith_integrand(w1: np.ndarray, w2: np.ndarray, i: float, n: int) -> np.ndarray:
-    return _powered_factor(w1, i / n) * _powered_factor(w2, (n - i) / n)
+    if not (0 <= k <= len(fv)):
+        raise IndexOutOfRange(f"k must be in 0..{len(fv)}, got {k}")
+    slots = _mixed_slots(fv, P, Q, k)
+    return slots.report(slots.product())
 
 
 def ith_mixed(
@@ -182,9 +179,8 @@ def ith_mixed(
     """Two-pair interpolation with exponents i/n and (n-i)/n."""
     if n < 1:
         raise IndexOutOfRange("n must be >= 1")
-    w1, h1 = weighted_terms(f1, P1.values, Q1.values)
-    w2, h2 = weighted_terms(f2, P2.values, Q2.values)
-    return _report(s, _ith_integrand(w1, w2, i, n), h1 + h2)
+    slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
+    return slots.report(slots.ith(i, n))
 
 
 def ith_mixed_reference(
@@ -204,10 +200,9 @@ def ith_mixed_reference(
         raise IndexOutOfRange("n must be >= 1")
     if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
         raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
-    w1, hits = weighted_terms(f1, P1.values, Q1.values)
+    slots = _Slots.evaluate([(f1, P1.values, Q1.values)], s)
     scale = _power(f2.value_at_one, 1.0 - i / n)
-    integrand = scale * _powered_factor(w1, i / n)
-    return _report(s, integrand, hits)
+    return slots.report(scale * slots.power([(0, i / n)]))
 
 
 def _kl_qp_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -238,8 +233,8 @@ def named_divergence(
         fv = FVector([make_builtin("klplus")] * n)
         if kl_orientation == "pq":
             return mixed_f_divergence(fv, P, Q)
-        slots = _Slots([_kl_qp_terms(P[i].values, Q[i].values) for i in range(n)])
-        return _report(P.space, slots.product())
+        slots = _Slots([_kl_qp_terms(P[i].values, Q[i].values) for i in range(n)], P.space)
+        return slots.report(slots.product())
     if family == "mixed_hellinger":
         if alphas is None:
             raise InvalidParameter("mixed_hellinger needs alphas")

@@ -9,6 +9,7 @@ the role of the spherical measure. Dimension is fixed at n = 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -28,6 +29,10 @@ from .measures import Density, DensityBundle, MeasureSpace
 
 
 _BLOCK = 8192  # nodes per block of the body kernels; its temporaries stay in cache
+# an ellipse's h lies between its semi-axes; inside these bounds h^3, h^-2 and
+# (ab)^2 stay normal floats
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_H_LO, _H_HI = max(_TINY ** (1 / 3), _HUGE ** -0.5), min(_HUGE ** (1 / 3), _TINY ** -0.5)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -115,6 +120,9 @@ class ConvexBody2D:
         if self.family == "ellipse":
             if not (self.a > 0 and self.b > 0):
                 raise InvalidParameter("ellipse semi-axes must be positive")
+            if not (_H_LO <= min(self.a, self.b) and max(self.a, self.b) <= _H_HI
+                    and _TINY ** 0.5 <= self.a * self.b <= _HUGE ** 0.5):
+                raise InvalidParameter("ellipse h^3, h^-2 or (ab)^2 would leave the float range")
         elif self.family == "trigball":
             if not (self.k >= 2 and int(self.k) == self.k):
                 raise InvalidParameter("trigball frequency must be an integer >= 2")

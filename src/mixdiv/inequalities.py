@@ -25,16 +25,14 @@ from .errors import (
     TagMismatch,
 )
 from .divergences import (
-    _ith_integrand,
     _mixed_slots,
     _power,
-    _report,
     _Slots,
     classical_f_divergence,
     ith_mixed,
     ith_mixed_reference,
 )
-from .ffunctions import LINEAR, FFunction, FVector, weighted_terms
+from .ffunctions import LINEAR, FFunction, FVector
 from .measures import Density, DensityBundle, MeasureSpace
 
 TOL_INEQ = 1e-10
@@ -105,16 +103,13 @@ class FactorDecomposition:
     g: tuple = field(default_factory=tuple)
 
     def integrand(self) -> np.ndarray:
-        out = self.g0.copy()
-        for gj in self.g:
-            out = out * gj
-        return out
+        return math.prod(self.g, start=self.g0.copy())
 
 
 def _decompose(slots: _Slots, m: int) -> FactorDecomposition:
-    n = slots.n
-    g0 = slots.root_product(range(n - m)) if m < n else np.ones(slots.w[0].size)
-    return FactorDecomposition(g0=g0, g=tuple(slots.root(i) for i in range(n - m, n)))
+    n, e = slots.n, 1.0 / slots.n
+    return FactorDecomposition(g0=slots.power((i, e) for i in range(n - m)),
+                               g=tuple(slots.power([(i, e)]) for i in range(n - m, n)))
 
 
 def factor_decomposition(
@@ -143,11 +138,9 @@ def af_check(
         raise RangeMismatch(f"m must be in 1..{n}")
     _check_tags_uniform(fv)
     slots = _mixed_slots(fv, P, Q)
-    lhs = _power(_report(P.space, slots.product()).value, m)
+    lhs = _power(slots.report(slots.product()).value, m)
     head = list(range(n - m))
-    rhs = 1.0
-    for k in range(n - m, n):
-        rhs *= _report(P.space, slots.product(head + [k] * m)).value
+    rhs = math.prod(slots.report(slots.product(head + [k] * m)).value for k in range(n - m, n))
     v = _verdict(lhs, rhs, "le")
     if v.equality:
         dec = _decompose(slots, m)
@@ -185,10 +178,8 @@ def concave_chain_check(
         if not f.is_concave:
             raise NonConcaveTag("concave chain needs concave generators")
     slots = _mixed_slots(fv, P, Q)
-    d_mixed = _report(P.space, slots.product()).value
-    prod_classical = 1.0
-    for i in range(n):
-        prod_classical *= _report(P.space, slots.w[i]).value
+    d_mixed = slots.report(slots.product()).value
+    prod_classical = math.prod(slots.report(w).value for w in slots.w)
     prod_ones = math.prod(f.value_at_one for f in fv)
     left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
@@ -224,11 +215,10 @@ def interpolation_check(
         raise BadOrdering(f"i={i} is outside [{lo}, {hi}]")
     if n < 1:
         raise IndexOutOfRange("n must be >= 1")
-    w1, _ = weighted_terms(f1, P1.values, Q1.values)
-    w2, _ = weighted_terms(f2, P2.values, Q2.values)
+    slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
 
     def d(x):
-        return _report(s, _ith_integrand(w1, w2, x, n)).value
+        return slots.report(slots.ith(x, n)).value
 
     d_i = d(i)
     if i == j or i == k:
@@ -237,7 +227,7 @@ def interpolation_check(
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
     v = _verdict(d_i, rhs, "le")
     if v.equality:
-        v = replace(v, diagnosis=effective_proportionality(w1, w2, s))
+        v = replace(v, diagnosis=effective_proportionality(*slots.w, s))
     return v
 
 

@@ -1,7 +1,7 @@
 """Batch CLI: JSON problem specs in, JSON/CSV reports out.
 
-    mixdiv compute|verify|geometry|falsify --spec FILE [--out FILE]
-           [--format json|csv] [--seed N] [--trials N] [--emit-integrand]
+    mixdiv compute|verify|geometry|falsify --spec FILE [--out FILE] [--format json|csv]
+    compute and geometry also take [--emit-integrand]; falsify [--seed N] [--trials N]
 
 Exit codes: 0 all checks pass, 1 at least one verdict unsatisfied,
 2 invalid input.
@@ -240,9 +240,9 @@ def run_compute(spec, emit_integrand=False):
     return _run("compute", _COMPUTE, spec, _parse_inputs(spec) | {"emit": emit_integrand})
 
 
-def run_verify(spec, emit_integrand=False):
+def run_verify(spec):
     spec = _Reader(spec, "spec")
-    return _run("verify", _VERIFY, spec, _parse_inputs(spec) | {"emit": emit_integrand})
+    return _run("verify", _VERIFY, spec, _parse_inputs(spec))
 
 
 def run_falsify(spec, seed=None, trials=None):
@@ -263,19 +263,14 @@ def run_falsify(spec, seed=None, trials=None):
     return {"command": "falsify", "results": results}, code
 
 
-_BODIES = {
-    "ellipse": lambda b: geometry.ellipse(
-        b.get("a", float), b.get("b", float), b.get("phi", float, 0.0)
-    ),
-    "trigball": lambda b: geometry.trigball(b.get("eps", float), b.get("k", _int)),
-}
-
-
 def _parse_body(spec):
+    """A body from the fields its family's row names, read in the row's order."""
     family = spec.get("family", _STR)
-    if family not in _BODIES:
+    if family not in geometry._FAMILIES:
         raise SpecError(f"unknown body family {family!r}")
-    return _BODIES[family](spec)
+    return geometry.ConvexBody2D(family, **{
+        name: spec.get(name, _int if kind is int else float, *default)
+        for name, (kind, *default) in geometry._FAMILIES[family].spec.items()})
 
 
 def _functionals(r):
@@ -357,30 +352,32 @@ def _emit(report, fmt, out):
         raise OutputError(f"cannot write report: {exc}") from exc
 
 
+_EMIT = {"--emit-integrand": {"action": "store_true"}}
+# subcommand -> (entry, the flags only it reads, each an entry keyword argument)
 _COMMANDS = {
-    "compute": lambda spec, args: run_compute(spec, args.emit_integrand),
-    "verify": lambda spec, args: run_verify(spec, args.emit_integrand),
-    "geometry": lambda spec, args: run_geometry(spec, args.emit_integrand),
-    "falsify": lambda spec, args: run_falsify(spec, seed=args.seed, trials=args.trials),
+    "compute": (run_compute, _EMIT),
+    "verify": (run_verify, {}),
+    "geometry": (run_geometry, _EMIT),
+    "falsify": (run_falsify, {"--seed": {"type": int}, "--trials": {"type": int}}),
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mixdiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True)
         p.add_argument("--out")
         p.add_argument("--format", choices=tuple(_FORMATS), default="json")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--emit-integrand", action="store_true")
-    args = parser.parse_args(argv)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+    args = vars(parser.parse_args(argv))
+    command, spec, fmt, out = (args.pop(key) for key in ("command", "spec", "format", "out"))
 
     try:
-        report, code = _COMMANDS[args.command](_load_spec(args.spec), args)
-        _emit(report, args.format, args.out)
+        report, code = _COMMANDS[command][0](_load_spec(spec), **args)
+        _emit(report, fmt, out)
     except MixdivError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True

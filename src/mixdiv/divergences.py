@@ -72,10 +72,14 @@ class _Slots:
         self._memo = {}
 
     @classmethod
-    def evaluate(cls, slots, space: MeasureSpace) -> "_Slots":
-        """Slots from (f, p, q) triples via weighted_terms."""
-        terms, hits = zip(*[weighted_terms(f, p, q) for f, p, q in slots])
-        return cls(terms, space, sum(hits))
+    def evaluate(cls, slots, space: MeasureSpace, terms=None) -> "_Slots":
+        """Slots from (f, p, q) triples via terms(f, p, q) -> (w, hits), by default
+        weighted_terms, after checking each p and q against the space size."""
+        slots, terms = list(slots), terms or weighted_terms
+        if any(len(x) != space.size for _, p, q in slots for x in (p, q)):
+            raise SpaceMismatch("densities do not match the space size")
+        w, hits = zip(*[terms(f, p, q) for f, p, q in slots])
+        return cls(w, space, sum(hits))
 
     def report(self, integrand: np.ndarray) -> DivergenceReport:
         value = float(np.dot(integrand, self.space.weights))
@@ -123,26 +127,22 @@ class _Slots:
         return np.exp(out, out=out)
 
 
-def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf) -> _Slots:
+def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf, terms=None) -> _Slots:
     """Validated slots of D(P, Q): (f_i, p_i, q_i) for i < k, else (f_i*, q_i, p_i)."""
     n = len(fv)
     if len(P) != n or len(Q) != n:
         raise LengthMismatch("generator vector and bundles must share one length")
-    if P.space.size != Q.space.size:
-        raise SpaceMismatch("bundles live on different spaces")
     return _Slots.evaluate((
         (fv[i], P[i].values, Q[i].values) if i < k
         else (adjoint(fv[i]), Q[i].values, P[i].values)
         for i in range(n)
-    ), P.space)
+    ), P.space, terms)
 
 
 def classical_f_divergence(
     f: FFunction, p: Density, q: Density, s: MeasureSpace
 ) -> DivergenceReport:
     """D_f(P, Q) = sum_j f(p_j/q_j) q_j mu_j."""
-    if len(p) != s.size or len(q) != s.size:
-        raise SpaceMismatch("densities do not match the space size")
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
     return slots.report(slots.w[0])
 
@@ -205,11 +205,12 @@ def ith_mixed_reference(
     return slots.report(scale * slots.power([(0, i / n)]))
 
 
-def _kl_qp_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """[p ln(q/p)]_+ per atom; a zero p atom contributes its limit 0."""
+def _kl_qp_terms(_, p: np.ndarray, q: np.ndarray):
+    """weighted_terms for the qp orientation: [p ln(q/p)]_+ per atom, no generator
+    and no convention hits; a zero p atom contributes its limit 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t = p * np.log(q / p)
-    return np.maximum(np.where(p == 0.0, 0.0, t), 0.0)
+    return np.maximum(np.where(p == 0.0, 0.0, t), 0.0), 0
 
 
 def named_divergence(
@@ -231,9 +232,7 @@ def named_divergence(
         if kl_orientation not in ("pq", "qp"):
             raise InvalidParameter(f"bad kl_orientation {kl_orientation!r}")
         fv = FVector([make_builtin("klplus")] * n)
-        if kl_orientation == "pq":
-            return mixed_f_divergence(fv, P, Q)
-        slots = _Slots([_kl_qp_terms(P[i].values, Q[i].values) for i in range(n)], P.space)
+        slots = _mixed_slots(fv, P, Q, terms=_kl_qp_terms if kl_orientation == "qp" else None)
         return slots.report(slots.product())
     if family == "mixed_hellinger":
         if alphas is None:

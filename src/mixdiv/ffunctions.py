@@ -108,8 +108,12 @@ class _Kind(NamedTuple):
 
 
 class _Registry(dict):
-    def __missing__(self, kind):
-        raise InvalidParameter(f"unknown generator kind {kind!r}")
+    def __init__(self, what: str, **rows):
+        super().__init__(**rows)
+        self.what = what
+
+    def __missing__(self, name):
+        raise InvalidParameter(f"unknown {self.what} {name!r}")
 
 
 def _real(params: dict, key: str, default=None) -> float:
@@ -157,6 +161,7 @@ def _power_tag(f: FFunction) -> str:
 
 
 _KINDS = _Registry(
+    "generator kind",
     tv=_Kind(
         eval=lambda f, t: np.abs(t - 1.0),
         tag=lambda f: CONVEX, at_one=lambda f: 0.0,

@@ -1,9 +1,9 @@
 """Planar convex bodies with closed-form support functions.
 
-Two families: ellipses (closed under linear maps) and trigonometrically
-perturbed disks. Bodies induce probability densities on the circle; the
-divergence machinery then applies verbatim with the uniform grid playing
-the role of the spherical measure. Dimension is fixed at n = 2.
+Each body family is one row of _FAMILIES: ellipses (closed under linear maps)
+and trigonometrically perturbed disks. Bodies induce probability densities on
+the circle; the divergence machinery then applies verbatim with the uniform
+grid playing the role of the spherical measure. Dimension is fixed at n = 2.
 """
 
 from __future__ import annotations
@@ -13,22 +13,20 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    NotC2Plus,
-    SingularMatrix,
-    UnsupportedFamily,
-)
+from .errors import InvalidParameter, NotC2Plus, SingularMatrix, UnsupportedFamily
 from .divergences import DivergenceReport, ith_mixed, mixed_f_divergence
-from .ffunctions import FFunction, FVector
+from .ffunctions import FFunction, FVector, _Registry
 from .inequalities import InequalityVerdict, _verdict
 from .measures import Density, DensityBundle, MeasureSpace
 
 
 _BLOCK = 8192  # nodes per block of the body kernels; its temporaries stay in cache
+# the largest node count: a full-size table then takes 512 MiB
+_MAX_NODES = 2 ** 26
 # an ellipse's h lies between its semi-axes; inside these bounds h^3, h^-2 and
 # (ab)^2 stay normal floats
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
@@ -52,8 +50,8 @@ class CircleGrid:
 
     def __post_init__(self):
         n = self.node_count
-        if not (isinstance(n, Integral) and n >= 64 and n % 2 == 0):
-            raise InvalidParameter(f"node_count must be an even integer >= 64, got {n!r}")
+        if not (isinstance(n, Integral) and 64 <= n <= _MAX_NODES and n % 2 == 0):
+            raise InvalidParameter(f"node_count must be an even integer in [64, 2^26], got {n!r}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -101,9 +99,7 @@ class CircleGrid:
 
 @dataclass(frozen=True)
 class ConvexBody2D:
-    """family "ellipse": h = sqrt(a^2 cos^2(t-phi) + b^2 sin^2(t-phi));
-    family "trigball": h = 1 + eps*cos(k t), with |eps|(k^2 - 1) < 1 so the
-    curvature function h + h'' stays positive."""
+    """A body of one family: the row of _FAMILIES that reads the fields it uses."""
 
     family: str
     a: float = 1.0
@@ -117,51 +113,78 @@ class ConvexBody2D:
         for name in ("a", "b", "phi", "eps", "k"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(f"body parameter {name} must be finite")
-        if self.family == "ellipse":
-            if not (self.a > 0 and self.b > 0):
-                raise InvalidParameter("ellipse semi-axes must be positive")
-            if not (_H_LO <= min(self.a, self.b) and max(self.a, self.b) <= _H_HI
-                    and _TINY ** 0.5 <= self.a * self.b <= _HUGE ** 0.5):
-                raise InvalidParameter("ellipse h^3, h^-2 or (ab)^2 would leave the float range")
-        elif self.family == "trigball":
-            if not (self.k >= 2 and int(self.k) == self.k):
-                raise InvalidParameter("trigball frequency must be an integer >= 2")
-            if not abs(self.eps) * (self.k ** 2 - 1) < 1:
-                raise InvalidParameter(
-                    "trigball needs |eps|(k^2 - 1) < 1 for positive curvature"
-                )
-        else:
-            raise InvalidParameter(f"unknown body family {self.family!r}")
-
-    @property
-    def _frequency(self) -> int:
-        """The m with h a function of (cos m*theta, sin m*theta)."""
-        return 1 if self.family == "ellipse" else int(self.k)
-
-    def _kernel(self, c, s):
-        """(h, h', f) from c = cos(m*theta), s = sin(m*theta), m = _frequency,
-        with the curvature function f = h + h'' in closed form."""
-        if self.family == "ellipse":
-            cp, sp = math.cos(self.phi), math.sin(self.phi)
-            # u = theta - phi; h^2 = a^2 cos^2 u + b^2 sin^2 u
-            cu = c * cp + s * sp
-            su = s * cp - c * sp
-            h = np.sqrt(self.a ** 2 * (cu * cu) + self.b ** 2 * (su * su))
-            # (h^2)'/2 = (b^2 - a^2) sin u cos u; f = (ab)^2/h^3 in closed
-            # form, as h + h'' cancels on eccentric ellipses
-            hp = (self.b ** 2 - self.a ** 2) * su * cu / h
-            return h, hp, (self.a * self.b) ** 2 / (h * h * h)
-        h = 1.0 + self.eps * c
-        return h, -self.eps * self.k * s, 1.0 + self.eps * (1 - self.k ** 2) * c
+        for holds, message in _FAMILIES[self.family].checks:
+            if not holds(self):
+                raise InvalidParameter(message)
 
     def support(self, theta):
         return self.support_derivatives(theta)[0]
 
     def support_derivatives(self, theta):
         """(h, h', h'') evaluated analytically, with h'' = f - h."""
-        mt = self._frequency * np.asarray(theta, dtype=float)
-        h, hp, f = self._kernel(np.cos(mt), np.sin(mt))
+        row = _FAMILIES[self.family]
+        mt = row.frequency(self) * np.asarray(theta, dtype=float)
+        h, hp, f = row.kernel(self, np.cos(mt), np.sin(mt))
         return h, hp, f - h
+
+
+class _Family(NamedTuple):
+    """One body family. Each hook takes the ConvexBody2D it describes."""
+
+    checks: tuple  # (K -> bool, message) pairs, in order; a False raises InvalidParameter
+    frequency: Callable  # K -> m, with h a function of cos m*theta and sin m*theta
+    kernel: Callable  # (K, cos m*theta, sin m*theta) -> (h, h', f = h + h'')
+    linear_map: Optional[Callable]  # (K, T) -> the image of K; None: not closed under maps
+    spec: dict  # field -> (type,) or (type, default), in the order a spec is read
+
+
+def _ellipse_kernel(K: ConvexBody2D, c, s):
+    cp, sp = math.cos(K.phi), math.sin(K.phi)
+    # u = theta - phi; h^2 = a^2 cos^2 u + b^2 sin^2 u
+    cu = c * cp + s * sp
+    su = s * cp - c * sp
+    h = np.sqrt(K.a ** 2 * (cu * cu) + K.b ** 2 * (su * su))
+    # (h^2)'/2 = (b^2 - a^2) sin u cos u; f = (ab)^2/h^3 in closed form, as
+    # h + h'' cancels on eccentric ellipses
+    hp = (K.b ** 2 - K.a ** 2) * su * cu / h
+    return h, hp, (K.a * K.b) ** 2 / (h * h * h)
+
+
+def _map_ellipse(K: ConvexBody2D, T: np.ndarray) -> ConvexBody2D:
+    """h_K(u) = sqrt(u' M u) with M = R diag(a^2, b^2) R'; the image body has
+    the form matrix T M T', re-read as (a, b, phi) by eigendecomposition."""
+    c, s = math.cos(K.phi), math.sin(K.phi)
+    R = np.array([[c, -s], [s, c]])
+    M = R @ np.diag([K.a ** 2, K.b ** 2]) @ R.T
+    evals, evecs = np.linalg.eigh(T @ M @ T.T)
+    # eigh sorts ascending; put the major axis first
+    v = evecs[:, 1]
+    return ellipse(math.sqrt(evals[1]), math.sqrt(evals[0]), math.atan2(v[1], v[0]))
+
+
+_FAMILIES = _Registry(
+    "body family",
+    # h = sqrt(a^2 cos^2(t - phi) + b^2 sin^2(t - phi))
+    ellipse=_Family(
+        checks=((lambda K: K.a > 0 and K.b > 0, "ellipse semi-axes must be positive"),
+                (lambda K: _H_LO <= min(K.a, K.b) and max(K.a, K.b) <= _H_HI
+                 and _TINY ** 0.5 <= K.a * K.b <= _HUGE ** 0.5,
+                 "ellipse h^3, h^-2 or (ab)^2 would leave the float range")),
+        frequency=lambda K: 1, kernel=_ellipse_kernel, linear_map=_map_ellipse,
+        spec={"a": (float,), "b": (float,), "phi": (float, 0.0)},
+    ),
+    # h = 1 + eps cos(k t); |eps|(k^2 - 1) < 1 keeps the curvature h + h'' positive
+    trigball=_Family(
+        checks=((lambda K: K.k >= 2 and int(K.k) == K.k,
+                 "trigball frequency must be an integer >= 2"),
+                (lambda K: abs(K.eps) * (K.k ** 2 - 1) < 1,
+                 "trigball needs |eps|(k^2 - 1) < 1 for positive curvature")),
+        frequency=lambda K: int(K.k), linear_map=None,
+        kernel=lambda K, c, s: (1.0 + K.eps * c, -K.eps * K.k * s,
+                                1.0 + K.eps * (1 - K.k ** 2) * c),
+        spec={"eps": (float,), "k": (int,)},
+    ),
+)
 
 
 def ellipse(a: float, b: float, phi: float = 0.0) -> ConvexBody2D:
@@ -179,8 +202,9 @@ def unit_disk() -> ConvexBody2D:
 def _stream(K: ConvexBody2D, grid: CircleGrid):
     """Yield (slice, h, h', f) over the grid's blocks; NotC2Plus unless h and f
     are positive (a NaN fails too)."""
-    for block, c, s in grid._blocks(K._frequency):
-        h, hp, f = K._kernel(c, s)
+    row = _FAMILIES[K.family]
+    for block, c, s in grid._blocks(row.frequency(K)):
+        h, hp, f = row.kernel(K, c, s)
         if not ((h > 0).all() and (f > 0).all()):
             raise NotC2Plus("support or curvature function is not positive on the grid")
         yield block, h, hp, f
@@ -234,16 +258,11 @@ def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]
 
 def _bundles(bodies, grid, orientation):
     space = grid.space()
-    ps, qs = [], []
-    for K in bodies:
-        p, q = body_densities(K, grid)
-        ps.append(p)
-        qs.append(q)
-    if orientation == "PQ":
-        return DensityBundle(space, tuple(ps)), DensityBundle(space, tuple(qs))
-    if orientation == "QP":
-        return DensityBundle(space, tuple(qs)), DensityBundle(space, tuple(ps))
-    raise InvalidParameter(f"orientation must be 'PQ' or 'QP', got {orientation!r}")
+    pairs = [body_densities(K, grid) for K in bodies]
+    if orientation not in ("PQ", "QP"):
+        raise InvalidParameter(f"orientation must be 'PQ' or 'QP', got {orientation!r}")
+    P, Q = (DensityBundle(space, tuple(pair[j] for pair in pairs)) for j in (0, 1))
+    return (Q, P) if orientation == "QP" else (P, Q)
 
 
 def mixed_body_divergence(
@@ -255,42 +274,23 @@ def mixed_body_divergence(
     return mixed_f_divergence(fv, P, Q)
 
 
-def ith_mixed_body_divergence(
-    f1: FFunction,
-    f2: FFunction,
-    K1: ConvexBody2D,
-    K2: ConvexBody2D,
-    i: float,
-    orientation: str,
-    grid: CircleGrid,
-) -> DivergenceReport:
+def ith_mixed_body_divergence(f1: FFunction, f2: FFunction, K1: ConvexBody2D, K2: ConvexBody2D,
+                              i: float, orientation: str, grid: CircleGrid) -> DivergenceReport:
     P, Q = _bundles([K1, K2], grid, orientation)
     return ith_mixed(f1, f2, P[0], Q[0], P[1], Q[1], i, 2, grid.space())
 
 
 def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
-    """Image of an ellipse under an invertible linear map.
-
-    h_K(u) = sqrt(u' M u) with M = R diag(a^2, b^2) R'; the image body has
-    the form matrix T M T', re-read as (a, b, phi) by eigendecomposition.
-    """
-    if K.family != "ellipse":
+    """Image of a body under an invertible linear map, by its family's rule."""
+    image = _FAMILIES[K.family].linear_map
+    if image is None:
         raise UnsupportedFamily("only ellipses are closed under linear maps")
     T = np.asarray(T, dtype=float)
     if not np.isfinite(T).all():
         raise InvalidParameter("linear map entries must be finite")
     if T.shape != (2, 2) or abs(np.linalg.det(T)) < 1e-14:
         raise SingularMatrix("need an invertible 2x2 matrix")
-    c, s = math.cos(K.phi), math.sin(K.phi)
-    R = np.array([[c, -s], [s, c]])
-    M = R @ np.diag([K.a ** 2, K.b ** 2]) @ R.T
-    M2 = T @ M @ T.T
-    evals, evecs = np.linalg.eigh(M2)
-    # eigh sorts ascending; put the major axis first
-    a_new = math.sqrt(evals[1])
-    b_new = math.sqrt(evals[0])
-    v = evecs[:, 1]
-    return ellipse(a_new, b_new, math.atan2(v[1], v[0]))
+    return image(K, T)
 
 
 def isoperimetric_check(K: ConvexBody2D, grid: CircleGrid) -> InequalityVerdict:

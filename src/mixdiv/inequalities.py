@@ -88,8 +88,6 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     if np.all(np.abs(g) <= PROP_TOL) or np.all(np.abs(h) <= PROP_TOL):
         return {"proportional": True, "ratio": None}
     j = int(np.argmax(np.abs(g)))
-    if g[j] == 0.0:
-        return {"proportional": False, "ratio": None}
     ratio = float(h[j] / g[j])
     ok = bool(np.all(np.abs(h - ratio * g) <= PROP_TOL * (1.0 + np.abs(h))))
     return {"proportional": ok, "ratio": ratio if ok else None}
@@ -184,10 +182,10 @@ def concave_chain_check(
     left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
     if all(f.convexity_tag == LINEAR for f in fv):
-        combos = []
-        for i in range(n):
-            a, b = fv[i].a, fv[i].b
-            combos.append((a * P[i].values + b * Q[i].values) / (a + b))
+        # f(t) = a t + b, a = f'(inf), b = f(0+); a zero f has no convex combination
+        ab = [(f.slope_at_infinity, f.limit_at_zero) for f in fv]
+        combos = [(a * p.values + b * q.values) / (a + b)
+                  for (a, b), p, q in zip(ab, P, Q) if a + b > 0]
         match = all(
             np.all(np.abs(combos[0] - c) <= 1e-12 * (1 + np.abs(combos[0])))
             for c in combos[1:]

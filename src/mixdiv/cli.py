@@ -14,10 +14,7 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
-
-import numpy as np
 
 from . import divergences, geometry, inequalities
 from .falsify import FalsifyConfig, falsify as run_falsify_trials
@@ -67,13 +64,20 @@ def _int(value) -> int:
     return int(value)
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _real(value) -> float:
+    """A JSON number: an int or a float; not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a real")
+    return float(value)
+
+
+def _reals(value) -> list:
+    return [_real(x) for x in _LIST(value)]
 
 
 class _Reader:
     """Typed reads of one JSON object of a spec. `get` raises SpecError when
-    the field is missing or when the converter `to` (float, _int, _LIST, ...)
+    the field is missing or when the converter `to` (_real, _int, _LIST, ...)
     rejects it; a default is returned as given."""
 
     def __init__(self, data, where):
@@ -137,25 +141,23 @@ class _Task(_Reader):
         return entry
 
     def verdicts(self, *verdicts, **extra) -> list:
-        return [{"task": self.type} | extra | v.to_dict() for v in verdicts]
+        return [{"task": self.type} | extra | dataclasses.asdict(v) for v in verdicts]
 
 
 def _norm_tol(spec):
-    env = {"MIXDIV_TOL_OVERRIDE": os.environ.get("MIXDIV_TOL_OVERRIDE") or 1e-12}
-    tol = spec.section("tolerances", {}).get(
-        "norm", float, _Reader(env, "environment").get("MIXDIV_TOL_OVERRIDE", float))
+    tol = spec.section("tolerances", {}).get("norm", _real, 1e-12)
     if tol <= 0:
         raise SpecError("tolerance overrides must be positive")
     return tol
 
 
 def _parse_inputs(spec) -> dict:
-    space = make_space(spec.section("space").get("weights", _floats))
+    space = make_space(spec.section("space").get("weights", _reals))
     tol = _norm_tol(spec)
     named = spec.section("densities", {})
     densities = {}
     for name in named.data:
-        d = Density(named.get(name, _floats))
+        d = Density(named.get(name, _reals))
         validate_density(d, space, strictly_positive=True, probability=True, tol=tol)
         densities[name] = d
     return {"space": space, "named": densities}
@@ -179,8 +181,8 @@ def _named(r):
     family = r.get("family", _STR)
     out = divergences.named_divergence(
         family, r.bundle("ps"), r.bundle("qs"),
-        alphas=r.get("alphas", _LIST, None),
-        alpha=r.get("alpha", float, None),
+        alphas=r.get("alphas", _reals, None),
+        alpha=r.get("alpha", _real, None),
         kl_orientation=r.get("kl_orientation", _STR, "pq"),
     )
     entry = {"task": r.type, "value": out} if isinstance(out, float) else r.report(out)
@@ -199,10 +201,10 @@ _COMPUTE = {
     )),
     "ith": lambda r: r.report(divergences.ith_mixed(
         r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
-        r.get("i", float), r.get("n", _int), r.space,
+        r.get("i", _real), r.get("n", _int), r.space,
     )),
     "ith_reference": lambda r: r.report(divergences.ith_mixed_reference(
-        r.f("f1"), r.ref("p1"), r.ref("q1"), r.get("i", float), r.f("f2"),
+        r.f("f1"), r.ref("p1"), r.ref("q1"), r.get("i", _real), r.f("f2"),
         r.space, r.get("n", _int),
     )),
     "named": _named,
@@ -213,7 +215,7 @@ def _corollary(r):
     pair = {"P2": r.ref("p2"), "Q2": r.ref("q2")} if "p2" in r.data else {}
     return r.verdicts(inequalities.corollary_bound_check(
         r.get("case", _STR), r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"),
-        r.get("i", float), r.get("n", _int), r.space, **pair,
+        r.get("i", _real), r.get("n", _int), r.space, **pair,
     ))
 
 
@@ -229,7 +231,7 @@ _VERIFY = {
     )),
     "interpolation": lambda r: r.verdicts(inequalities.interpolation_check(
         r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
-        r.get("i", float), r.get("j", float), r.get("k", float), r.get("n", _int), r.space,
+        r.get("i", _real), r.get("j", _real), r.get("k", _real), r.get("n", _int), r.space,
     )),
     "corollary": _corollary,
 }
@@ -269,7 +271,7 @@ def _parse_body(spec):
     if family not in geometry._FAMILIES:
         raise SpecError(f"unknown body family {family!r}")
     return geometry.ConvexBody2D(family, **{
-        name: spec.get(name, _int if kind is int else float, *default)
+        name: spec.get(name, _int if kind is int else _real, *default)
         for name, (kind, *default) in geometry._FAMILIES[family].spec.items()})
 
 
@@ -294,11 +296,11 @@ def _densities(r):
 
 def _geometry_ith(r):
     bodies = r.refs("bodies")
-    if len(bodies) < 2:
-        raise SpecError(f"field 'bodies' in {r.where} needs two bodies")
+    if len(bodies) != 2:
+        raise SpecError(f"field 'bodies' in {r.where} needs exactly two bodies, got {len(bodies)}")
     return r.report(geometry.ith_mixed_body_divergence(
         r.f("f1"), r.f("f2"), bodies[0], bodies[1],
-        r.get("i", float), r.get("orientation", _STR, "PQ"), r.grid,
+        r.get("i", _real), r.get("orientation", _STR, "PQ"), r.grid,
     ))
 
 

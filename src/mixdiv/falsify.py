@@ -1,7 +1,9 @@
 """Seeded random search for counterexamples to the inequality checks.
 
 Every trial derives its own RNG from (seed, trial index), so the report is
-identical for a fixed (seed, trials) regardless of evaluation order.
+identical for a fixed (seed, trials) regardless of evaluation order. A trial
+only draws and checks: it returns its verdicts and its instance, and the
+report turns the minimum-slack instance into its witness once.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ from .inequalities import (
 from .measures import Density, make_bundle, make_space
 
 
+# Bounds on FalsifyConfig: a trial holds at most 2 * MAX_N densities of MAX_ATOMS atoms.
+MAX_ATOMS = 2**16
+MAX_N = 64
+
+
 @dataclass(frozen=True)
 class FalsifyConfig:
     max_atoms: int = 12
     max_n: int = 4
 
     def __post_init__(self):
-        if self.max_atoms < 2 or self.max_n < 1:
-            raise InvalidParameter("falsifier spaces need max_atoms >= 2 and max_n >= 1")
+        if not (2 <= self.max_atoms <= MAX_ATOMS and 1 <= self.max_n <= MAX_N):
+            raise InvalidParameter(f"falsifier spaces need 2 <= max_atoms <= {MAX_ATOMS} and 1 <="
+                                   f" max_n <= {MAX_N}, got {self.max_atoms} and {self.max_n}")
 
 
 def _random_space(rng, cfg, probability=False):
@@ -74,56 +82,36 @@ def _random_concave_f(rng):
     return _random_linear(rng)
 
 
-def _instance_dict(space, named_densities, f_specs, params):
-    return {
-        "weights": [float(x) for x in space.weights],
-        "densities": {k: [float(x) for x in d.values] for k, d in named_densities.items()},
-        "generators": f_specs,
-        "params": params,
-    }
-
-
-def _random_bundles(rng, space, fv, params):
-    """Random P and Q for the generator vector fv, and their witness."""
-    n = len(fv)
+def _random_bundles(rng, space, n):
+    """Random bundles P and Q of n densities each, and their densities by name."""
     P = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
     Q = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
-    witness = _instance_dict(
-        space,
-        {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)},
-        [f.describe() for f in fv],
-        params,
-    )
-    return P, Q, witness
+    return P, Q, {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)}
 
 
 def _trial_af(rng, cfg):
     n = int(rng.integers(1, cfg.max_n + 1))
     m = int(rng.integers(1, n + 1))
     space = _random_space(rng, cfg)
-    concave = rng.random() < 0.5
-    fv = FVector(
-        _random_concave_f(rng) if concave else _random_convex_f(rng) for _ in range(n)
-    )
-    P, Q, witness = _random_bundles(rng, space, fv, {"n": n, "m": m})
-    return [af_check(fv, P, Q, m)], witness
+    draw = _random_concave_f if rng.random() < 0.5 else _random_convex_f
+    fv = FVector(draw(rng) for _ in range(n))
+    P, Q, named = _random_bundles(rng, space, n)
+    return [af_check(fv, P, Q, m)], (space, named, fv, {"n": n, "m": m})
 
 
 def _trial_jensen(rng, cfg):
     space = _random_space(rng, cfg)
     f = _random_concave_f(rng) if rng.random() < 0.5 else _random_convex_f(rng)
-    p = _random_density(rng, space)
-    q = _random_density(rng, space)
-    v = jensen_bound_check(f, p, q, space)
-    return [v], _instance_dict(space, {"p": p, "q": q}, [f.describe()], {})
+    p, q = _random_density(rng, space), _random_density(rng, space)
+    return [jensen_bound_check(f, p, q, space)], (space, {"p": p, "q": q}, [f], {})
 
 
 def _trial_concave_chain(rng, cfg):
     n = int(rng.integers(1, cfg.max_n + 1))
     space = _random_space(rng, cfg)
     fv = FVector(_random_concave_f(rng) for _ in range(n))
-    P, Q, witness = _random_bundles(rng, space, fv, {"n": n})
-    return list(concave_chain_check(fv, P, Q)), witness
+    P, Q, named = _random_bundles(rng, space, n)
+    return concave_chain_check(fv, P, Q), (space, named, fv, {"n": n})
 
 
 def _positive_f(rng):
@@ -142,13 +130,8 @@ def _trial_interpolation(rng, cfg):
     k = float(rng.uniform(j + 0.1, n + 2.0))
     i = float(rng.uniform(j, k))
     v = interpolation_check(f1, f2, p1, q1, p2, q2, i, j, k, n, space)
-    witness = _instance_dict(
-        space,
-        {"p1": p1, "q1": q1, "p2": p2, "q2": q2},
-        [f1.describe(), f2.describe()],
-        {"n": n, "i": i, "j": j, "k": k},
-    )
-    return [v], witness
+    named = {"p1": p1, "q1": q1, "p2": p2, "q2": q2}
+    return [v], (space, named, [f1, f2], {"n": n, "i": i, "j": j, "k": k})
 
 
 # a corollary's tag rule -> the generator draw that meets it
@@ -167,17 +150,12 @@ def _trial_corollary(case, rng, cfg):
     f1 = _DRAW_F[row.f1](rng)
     i = row.range.draw(rng, n)
     f2 = _DRAW_F[row.f2](rng)
-    kwargs = {}
-    named = {"p1": p1, "q1": q1}
+    pair = {}
     if not row.reference:
-        p2, q2 = _random_density(rng, space), _random_density(rng, space)
-        kwargs = {"P2": p2, "Q2": q2}
-        named |= {"p2": p2, "q2": q2}
-    v = corollary_bound_check(case, f1, f2, p1, q1, i, n, space, **kwargs)
-    witness = _instance_dict(
-        space, named, [f1.describe(), f2.describe()], {"n": n, "i": i, "case": case}
-    )
-    return [v], witness
+        pair = {"P2": _random_density(rng, space), "Q2": _random_density(rng, space)}
+    v = corollary_bound_check(case, f1, f2, p1, q1, i, n, space, **pair)
+    named = {"p1": p1, "q1": q1} | {key.lower(): d for key, d in pair.items()}
+    return [v], (space, named, [f1, f2], {"n": n, "i": i, "case": case})
 
 
 _TRIALS = {
@@ -188,6 +166,16 @@ _TRIALS = {
 } | {case: functools.partial(_trial_corollary, case) for case in _COROLLARIES}
 
 INEQUALITY_IDS = tuple(_TRIALS)
+
+
+def _witness(space, named, generators, params) -> dict:
+    """The report's JSON form of one trial's instance."""
+    return {
+        "weights": [float(x) for x in space.weights],
+        "densities": {k: [float(x) for x in d.values] for k, d in named.items()},
+        "generators": [f.describe() for f in generators],
+        "params": params,
+    }
 
 
 def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = None) -> dict:
@@ -201,22 +189,22 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     run = _TRIALS[inequality_id]
     violations = 0
     min_slack = None
-    min_witness = None
+    min_instance = None
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        verdicts, witness = run(rng, cfg)
+        verdicts, instance = run(rng, cfg)
         for v in verdicts:
             if not v.satisfied:
                 violations += 1
             rel = v.slack / (1.0 + abs(v.rhs))
             if min_slack is None or rel < min_slack:
                 min_slack = rel
-                min_witness = witness
+                min_instance = instance
     return {
         "inequality": inequality_id,
         "seed": int(seed),
         "trials": int(trials),
         "violations": violations,
         "min_slack": min_slack,
-        "witness": min_witness,
+        "witness": None if min_instance is None else _witness(*min_instance),
     }

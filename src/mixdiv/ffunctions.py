@@ -117,8 +117,11 @@ class _Registry(dict):
 
 
 def _real(params: dict, key: str, default=None) -> float:
+    """A real parameter; a bool or a string is refused, though float() reads both."""
     value = params.get(key, default)
     try:
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameter(f"generator parameter {key!r} needs a real, got {value!r}") from None

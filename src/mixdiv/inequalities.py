@@ -49,16 +49,6 @@ class InequalityVerdict:
     equality: bool
     diagnosis: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "equality": self.equality,
-            "diagnosis": self.diagnosis,
-        }
-
 
 def _verdict(lhs: float, rhs: float, relation: str, diagnosis=None) -> InequalityVerdict:
     slack = (rhs - lhs) if relation == "le" else (lhs - rhs)
@@ -116,6 +106,11 @@ def factor_decomposition(
     if not (0 <= m <= len(fv)):
         raise RangeMismatch(f"m must be in 0..{len(fv)}")
     return _decompose(_mixed_slots(fv, P, Q), m)
+
+
+def _linear_coefficients(f: FFunction) -> tuple[float, float]:
+    """(a, b) of a linear generator f(t) = a t + b: a = f'(inf), b = f(0+)."""
+    return f.slope_at_infinity, f.limit_at_zero
 
 
 def _check_tags_uniform(fv: FVector) -> None:
@@ -182,10 +177,9 @@ def concave_chain_check(
     left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
     if all(f.convexity_tag == LINEAR for f in fv):
-        # f(t) = a t + b, a = f'(inf), b = f(0+); a zero f has no convex combination
-        ab = [(f.slope_at_infinity, f.limit_at_zero) for f in fv]
+        # a zero f has no convex combination
         combos = [(a * p.values + b * q.values) / (a + b)
-                  for (a, b), p, q in zip(ab, P, Q) if a + b > 0]
+                  for (a, b), p, q in zip(map(_linear_coefficients, fv), P, Q) if a + b > 0]
         match = all(
             np.all(np.abs(combos[0] - c) <= 1e-12 * (1 + np.abs(combos[0])))
             for c in combos[1:]
@@ -285,7 +279,7 @@ def _reference_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
             and np.all(np.abs(Q1.values - unit) <= PROP_TOL)
         )}
     if f1.convexity_tag == LINEAR:
-        a, b = f1.a, f1.b
+        a, b = _linear_coefficients(f1)
         combo = a * P1.values + b * Q1.values
         return {"linear_combination_constant":
                 bool(np.all(np.abs(combo - (a + b)) <= PROP_TOL * (1 + a + b)))}

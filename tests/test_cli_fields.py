@@ -193,3 +193,90 @@ def test_ellipse_inside_the_range_is_accepted(a):
     K = M.ellipse(a, 1.0)
     h, _, hpp = K.support_derivatives(np.linspace(0.0, 2 * math.pi, 16))
     assert np.isfinite(h).all() and np.isfinite(hpp).all()
+
+
+# -- real fields -------------------------------------------------------------
+
+
+def _body_field(family, **fields):
+    base = {"ellipse": {"family": "ellipse", "a": 1.3, "b": 0.8, "phi": 0.4},
+            "trigball": {"family": "trigball", "eps": 0.05, "k": 3}}[family]
+    return "geometry", {"grid": {"nodes": 256}, "bodies": {"K": base | fields},
+                        "tasks": [{"type": "functionals", "body": "K"}]}
+
+
+# One spec per real field; `value` goes into that field (or list entry).
+REAL_FIELDS = {
+    "ith i": lambda value: _compute(
+        type="ith", f1=POWER, f2=TV, p1="p", q1="q", p2="q", q2="p", i=value, n=2),
+    "interpolation i": lambda value: _verify(
+        type="interpolation", f1=POWER, f2=POWER, p1="p", q1="q", p2="q", q2="p",
+        i=value, j=0.5, k=3.0, n=2),
+    "interpolation j": lambda value: _verify(
+        type="interpolation", f1=POWER, f2=POWER, p1="p", q1="q", p2="q", q2="p",
+        i=2.5, j=value, k=3.0, n=2),
+    "interpolation k": lambda value: _verify(
+        type="interpolation", f1=POWER, f2=POWER, p1="p", q1="q", p2="q", q2="p",
+        i=1.0, j=0.5, k=value, n=2),
+    "named alpha": lambda value: _compute(
+        type="named", family="mixed_renyi", alpha=value, ps=["p"], qs=["q"]),
+    "named alphas entry": lambda value: _compute(
+        type="named", family="mixed_hellinger", alphas=[value, 0.5], ps=["p", "q"], qs=["q", "p"]),
+    "ellipse a": lambda value: _body_field("ellipse", a=value),
+    "ellipse b": lambda value: _body_field("ellipse", b=value),
+    "ellipse phi": lambda value: _body_field("ellipse", phi=value),
+    "trigball eps": lambda value: _body_field("trigball", eps=value),
+    "tolerances norm": lambda value: ("compute", DENSITIES | {
+        "tolerances": {"norm": value},
+        "tasks": [{"type": "classical", "f": TV, "p": "p", "q": "q"}]}),
+    "weights entry": lambda value: ("compute", {
+        "space": {"weights": [value, 1, 1]},
+        "densities": {"p": [0.5, 0.25, 0.25], "q": [0.25, 0.5, 0.25]},
+        "tasks": [{"type": "classical", "f": TV, "p": "p", "q": "q"}]}),
+    "densities entry": lambda value: ("compute", DENSITIES | {
+        "densities": {"p": [value, 1, 1], "q": [1.6, 1.6, 0.4]},
+        "tasks": [{"type": "classical", "f": TV, "p": "p", "q": "q"}]}),
+}
+# A value each field accepts that is an integer, so it can be written as a JSON integer.
+REAL_VALID = {"ith i": 2, "interpolation i": 2, "interpolation j": 2, "interpolation k": 2,
+              "named alpha": 2, "named alphas entry": 2, "ellipse a": 2, "ellipse b": 2,
+              "ellipse phi": 2, "trigball eps": 0, "tolerances norm": 1, "weights entry": 1,
+              "densities entry": 1}
+
+
+@pytest.mark.parametrize("field", sorted(REAL_FIELDS))
+@pytest.mark.parametrize("value", ["2", True])
+def test_non_number_real_field_exits_2(tmp_path, capsys, field, value):
+    code, out, err = _run(tmp_path, capsys, *REAL_FIELDS[field](value))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SpecError"
+
+
+@pytest.mark.parametrize("field", sorted(REAL_FIELDS))
+def test_json_integer_reads_as_the_real(tmp_path, capsys, field):
+    value = REAL_VALID[field]
+    code, out, _ = _run(tmp_path, capsys, *REAL_FIELDS[field](value))
+    as_float = _run(tmp_path, capsys, *REAL_FIELDS[field](float(value)))
+    assert code in (0, 1)
+    assert as_float == (code, out, "")
+
+
+@pytest.mark.parametrize("value", ["2", True, False, b"2"])
+def test_generator_key_refuses_strings_and_bools(tmp_path, capsys, value):
+    with pytest.raises(InvalidParameter, match="'alpha' needs a real"):
+        M.make_builtin("power", alpha=value)
+    if isinstance(value, bytes):
+        return  # not a JSON value
+    code, out, err = _run(tmp_path, capsys, *_compute(
+        type="classical", f={"kind": "power", "alpha": value}, p="p", q="q"))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "InvalidParameter")
+
+
+def test_geometry_ith_task_takes_exactly_two_bodies(tmp_path, capsys):
+    task = {"type": "ith", "f1": POWER, "f2": TV, "bodies": ["E", "T", "E"], "i": 1.0}
+    code, out, err = _run(tmp_path, capsys, "geometry", _body_spec(task))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "SpecError"
+    assert "two bodies" in error["message"]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from mixdiv import (
+    INEQUALITY_IDS,
     Density,
     DensityBundle,
+    FFunction,
     FVector,
     af_check,
     classical_f_divergence,
@@ -409,3 +411,32 @@ def test_falsify_seed_sensitivity():
 def test_falsify_unknown_id():
     with pytest.raises(RangeMismatch):
         falsify("nonsense", 0, 10)
+
+
+@pytest.mark.parametrize("inequality", INEQUALITY_IDS)
+def test_falsify_describes_only_the_witness(monkeypatch, inequality):
+    calls = []
+    describe = FFunction.describe
+    monkeypatch.setattr(FFunction, "describe", lambda f: calls.append(f) or describe(f))
+    report = falsify(inequality, 5, 40)
+    # the falsifier draws no nested generators, so each describes itself once
+    assert len(calls) == len(report["witness"]["generators"])
+    assert falsify(inequality, 5, 0)["witness"] is None
+
+
+# -- reference corollary diagnosis of a linear f1 -----------------------------
+
+
+@pytest.mark.parametrize("f1", [
+    make_builtin("power", alpha=1.0),
+    make_builtin("scaled", lam=2.0, inner=make_builtin("linear", a=1.0, b=0.0)),
+    make_builtin("linear", a=1.0, b=0.0),
+])
+def test_reference_diagnosis_reads_a_linear_f1_through_its_limits(f1):
+    # f1(t) = a t with a > 0, and a P1 + 0 Q1 is not constant
+    P1, Q1 = Density([0.8, 1.2, 1.0]), Density([1.6, 1.6, 0.4])
+    v = corollary_bound_check("reference_concave", f1, make_builtin("power", alpha=0.5),
+                              P1, Q1, 2.0, 2, make_space([0.25, 0.25, 0.5]))
+    assert v.equality
+    assert v.diagnosis == {"linear_combination_constant": False}
+

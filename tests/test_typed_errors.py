@@ -1,6 +1,7 @@
 """Inputs that have no finite answer raise a typed MixdivError (CLI exit 2)
 instead of returning NaN or inf, or escaping as a Python exception."""
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -292,3 +293,35 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "OutputError"
+
+
+# -- falsifier bounds ----------------------------------------------------------
+
+
+ABOVE_BOUNDS = [{"max_atoms": 2**16 + 1}, {"max_n": 65}, {"max_atoms": 2**62}, {"max_n": 2**62}]
+
+
+@pytest.mark.parametrize("config", ABOVE_BOUNDS)
+def test_falsify_config_above_its_bound_raises(config):
+    with pytest.raises(InvalidParameter, match=r"max_atoms <= 65536 and 1 <= max_n <= 64"):
+        FalsifyConfig(**config)
+
+
+def test_falsify_config_accepts_its_bounds():
+    cfg = FalsifyConfig(max_atoms=2**16, max_n=64)
+    assert (cfg.max_atoms, cfg.max_n) == (65536, 64)
+
+
+@pytest.mark.parametrize("config", ABOVE_BOUNDS)
+def test_falsify_cli_above_a_bound_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, config):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    # every trial draws its space first
+    monkeypatch.setattr(importlib.import_module("mixdiv.falsify"), "_random_space", no_trial)
+    task = {"inequality": "jensen_bound", "seed": 1, "trials": 2} | config
+    spec = _write(tmp_path, "f.json", {"tasks": [task]})
+    assert main(["falsify", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidParameter"

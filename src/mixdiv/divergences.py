@@ -81,11 +81,15 @@ class _Slots:
         w, hits = zip(*[terms(f, p, q) for f, p, q in slots])
         return cls(w, space, sum(hits))
 
-    def report(self, integrand: np.ndarray) -> DivergenceReport:
+    def value(self, integrand: np.ndarray) -> float:
+        """The integrand summed against mu; NonFiniteValue on NaN or +-inf."""
         value = float(np.dot(integrand, self.space.weights))
         if not math.isfinite(value):
             raise NonFiniteValue(f"divergence evaluates to {value!r}")
-        return DivergenceReport(value=value, integrand=integrand, convention_hits=self.hits)
+        return value
+
+    def report(self, integrand: np.ndarray) -> DivergenceReport:
+        return DivergenceReport(self.value(integrand), integrand, self.hits)
 
     def _term(self, i: int, e=None) -> np.ndarray:
         """w_i ** e, or log(w_i) when e is None."""
@@ -177,10 +181,16 @@ def ith_mixed(
     s: MeasureSpace,
 ) -> DivergenceReport:
     """Two-pair interpolation with exponents i/n and (n-i)/n."""
+    slots, integrand = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
+    return slots.report(integrand)
+
+
+def _ith(f1, f2, P1, Q1, P2, Q2, i, n, s) -> tuple[_Slots, np.ndarray]:
+    """The two pairs' slots and their i-th mixed integrand."""
     if n < 1:
         raise IndexOutOfRange("n must be >= 1")
     slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
-    return slots.report(slots.ith(i, n))
+    return slots, slots.ith(i, n)
 
 
 def ith_mixed_reference(
@@ -196,13 +206,19 @@ def ith_mixed_reference(
 
     Requires mu itself to be a probability measure.
     """
+    slots, integrand = _ith_reference(f1, P1, Q1, i, f2, s, n)
+    return slots.report(integrand)
+
+
+def _ith_reference(f1, P1, Q1, i, f2, s, n) -> tuple[_Slots, np.ndarray]:
+    """The pair's slot and the reference-form integrand."""
     if n < 1:
         raise IndexOutOfRange("n must be >= 1")
     if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
         raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
     slots = _Slots.evaluate([(f1, P1.values, Q1.values)], s)
     scale = _power(f2.value_at_one, 1.0 - i / n)
-    return slots.report(scale * slots.power([(0, i / n)]))
+    return slots, scale * slots.power([(0, i / n)])
 
 
 def _kl_qp_terms(_, p: np.ndarray, q: np.ndarray):

@@ -29,6 +29,8 @@ from .measures import Density, make_bundle, make_space
 # Bounds on FalsifyConfig: a trial holds at most 2 * MAX_N densities of MAX_ATOMS atoms.
 MAX_ATOMS = 2**16
 MAX_N = 64
+# Bound on the trials of one falsify call: under an hour at a few hundred µs per trial.
+MAX_TRIALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,9 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     minimum-slack witness."""
     if inequality_id not in _TRIALS:
         raise RangeMismatch(f"unknown inequality id {inequality_id!r}")
-    if trials < 0 or seed < 0:
-        raise InvalidParameter(f"seed and trials must be >= 0, got {seed} and {trials}")
+    if not (0 <= trials <= MAX_TRIALS and seed >= 0):
+        raise InvalidParameter(f"falsify needs seed >= 0 and 0 <= trials <= {MAX_TRIALS},"
+                               f" got {seed} and {trials}")
     cfg = config or FalsifyConfig()
     run = _TRIALS[inequality_id]
     violations = 0

@@ -267,7 +267,8 @@ def weighted_terms(f: FFunction, p: np.ndarray, q: np.ndarray):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if np.all(p > 0) and np.all(q > 0):
+    if (np.minimum.reduce(p, axis=None, initial=np.inf) > 0.0
+            and np.minimum.reduce(q, axis=None, initial=np.inf) > 0.0):
         return q * np.asarray(f(p / q), dtype=float), 0
     vals = [weighted_term(f, pj, qj) for pj, qj in zip(p.ravel().tolist(), q.ravel().tolist())]
     return np.array(vals).reshape(p.shape), int(np.count_nonzero((p == 0.0) | (q == 0.0)))

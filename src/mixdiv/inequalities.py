@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadOrdering,
-    IndexOutOfRange,
     LengthMismatch,
     MixedConvexityTags,
     NonConcaveTag,
@@ -24,14 +23,7 @@ from .errors import (
     RangeMismatch,
     TagMismatch,
 )
-from .divergences import (
-    _mixed_slots,
-    _power,
-    _Slots,
-    classical_f_divergence,
-    ith_mixed,
-    ith_mixed_reference,
-)
+from .divergences import _ith, _ith_reference, _mixed_slots, _power, _Slots
 from .ffunctions import LINEAR, FFunction, FVector
 from .measures import Density, DensityBundle, MeasureSpace
 
@@ -131,9 +123,9 @@ def af_check(
         raise RangeMismatch(f"m must be in 1..{n}")
     _check_tags_uniform(fv)
     slots = _mixed_slots(fv, P, Q)
-    lhs = _power(slots.report(slots.product()).value, m)
+    lhs = _power(slots.value(slots.product()), m)
     head = list(range(n - m))
-    rhs = math.prod(slots.report(slots.product(head + [k] * m)).value for k in range(n - m, n))
+    rhs = math.prod(slots.value(slots.product(head + [k] * m)) for k in range(n - m, n))
     v = _verdict(lhs, rhs, "le")
     if v.equality:
         dec = _decompose(slots, m)
@@ -153,11 +145,11 @@ def jensen_bound_check(
     f: FFunction, p: Density, q: Density, s: MeasureSpace
 ) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
-    value = classical_f_divergence(f, p, q, s).value
+    slots = _Slots.evaluate([(f, p.values, q.values)], s)
     relation = "ge" if f.is_convex else "le"
-    v = _verdict(value, f.value_at_one, relation)
+    v = _verdict(slots.value(slots.w[0]), f.value_at_one, relation)
     if f.is_strict:
-        same = bool(np.all(np.abs(p.values - q.values) <= PROP_TOL * (1 + np.abs(q.values))))
+        same = bool((np.abs(p.values - q.values) <= PROP_TOL * (1 + np.abs(q.values))).all())
         v = replace(v, diagnosis={"densities_equal": same})
     return v
 
@@ -171,8 +163,8 @@ def concave_chain_check(
         if not f.is_concave:
             raise NonConcaveTag("concave chain needs concave generators")
     slots = _mixed_slots(fv, P, Q)
-    d_mixed = slots.report(slots.product()).value
-    prod_classical = math.prod(slots.report(w).value for w in slots.w)
+    d_mixed = slots.value(slots.product())
+    prod_classical = math.prod(slots.value(w) for w in slots.w)
     prod_ones = math.prod(f.value_at_one for f in fv)
     left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
@@ -205,17 +197,11 @@ def interpolation_check(
     lo, hi = min(j, k), max(j, k)
     if not (lo <= i <= hi):
         raise BadOrdering(f"i={i} is outside [{lo}, {hi}]")
-    if n < 1:
-        raise IndexOutOfRange("n must be >= 1")
-    slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
-
-    def d(x):
-        return slots.report(slots.ith(x, n)).value
-
-    d_i = d(i)
+    slots, w_i = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
+    d_i = slots.value(w_i)
     if i == j or i == k:
         return _verdict(d_i, d_i, "le")
-    d_j, d_k = d(j), d(k)
+    d_j, d_k = (slots.value(slots.ith(x, n)) for x in (j, k))
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
     v = _verdict(d_i, rhs, "le")
     if v.equality:
@@ -316,10 +302,10 @@ def corollary_bound_check(
         raise RangeMismatch(f"{case} needs {row.range.text}")
     bound = _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
     if row.reference:
-        value = ith_mixed_reference(f1, P1, Q1, i, f2, s, n).value
+        slots, w = _ith_reference(f1, P1, Q1, i, f2, s, n)
     else:
-        value = ith_mixed(f1, f2, P1, Q1, P2, Q2, i, n, s).value
-    v = _verdict(_power(value, n), bound, row.range.relation)
+        slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
+    v = _verdict(_power(slots.value(w), n), bound, row.range.relation)
     if v.equality:
         diagnose = _reference_diagnosis if row.reference else _pair_diagnosis
         v = replace(v, diagnosis=diagnose(f1, f2, P1, Q1, P2, Q2, s))

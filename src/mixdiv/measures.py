@@ -32,7 +32,7 @@ class MeasureSpace:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 1:
             raise NonPositiveWeight("weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        if not (np.minimum.reduce(w) > 0.0 and np.maximum.reduce(w) < np.inf):
             raise NonPositiveWeight("all weights must be strictly positive and finite")
 
     @property
@@ -63,7 +63,9 @@ class Density:
         object.__setattr__(self, "values", v)
         if v.ndim != 1:
             raise LengthMismatch("density values must be 1-d")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
+        # one reduction each, no elementwise temporary; NaN fails both comparisons
+        if not (np.minimum.reduce(v, initial=np.inf) >= 0.0
+                and np.maximum.reduce(v, initial=0.0) < np.inf):
             raise ZeroDensityAtom("density values must be finite and nonnegative")
 
     def __len__(self):
@@ -86,7 +88,7 @@ def validate_density(
         raise LengthMismatch(
             f"density has {len(d)} entries, space has {s.size} atoms"
         )
-    if strictly_positive and np.any(d.values <= 0):
+    if strictly_positive and np.minimum.reduce(d.values, initial=np.inf) <= 0.0:
         j = int(np.argmin(d.values))
         raise ZeroDensityAtom(f"density vanishes at atom {j}")
     if probability:

@@ -153,13 +153,12 @@ def test_report_json_reparses(tmp_path, capsys):
     assert report["command"] == "compute"
 
 
-def test_tolerance_override_spec_wins(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MIXDIV_TOL_OVERRIDE", "1e-15")
+def test_tolerance_override_spec_wins(tmp_path, capsys):
     spec = _write(tmp_path, "c.json", {
         "space": {"weights": [1, 1]},
         "densities": {"p": [0.5, 0.5000001]},
         "tolerances": {"norm": 1e-3},
         "tasks": [],
     })
-    # env var would reject, but the spec-file override wins
+    # mass 1 + 1e-7: the default tolerance 1e-12 would reject it, the spec's 1e-3 accepts it
     assert main(["compute", "--spec", spec]) == 0

@@ -27,10 +27,29 @@ def test_make_space_total_mass():
     assert make_space([0.5, 0.5, 1.0]).total_mass == 2.0
 
 
-@pytest.mark.parametrize("weights", [[1, 0], [1, -1], [1, float("inf")], [float("nan")]])
+@pytest.mark.parametrize("weights", [[1, 0], [1, -1], [1, float("inf")], [float("nan")],
+                                     [1, -0.0], [-float("inf")], [1, float("nan")]])
 def test_make_space_rejects_bad_weights(weights):
     with pytest.raises(NonPositiveWeight):
         make_space(weights)
+
+
+@pytest.mark.parametrize("values, error", [
+    ([], None),
+    ([-0.0, 1.0], None),
+    ([0.0, 2.0], None),
+    ([float("nan")], ZeroDensityAtom),
+    ([float("inf")], ZeroDensityAtom),
+    ([-float("inf")], ZeroDensityAtom),
+    ([-1e-300], ZeroDensityAtom),
+    ([[0.5, 0.5]], LengthMismatch),
+])
+def test_density_accepts_exactly_the_finite_nonnegative_vectors(values, error):
+    if error is None:
+        assert np.array_equal(Density(values).values, values)
+    else:
+        with pytest.raises(error):
+            Density(values)
 
 
 def test_validate_probability_ok(counting2):

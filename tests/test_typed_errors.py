@@ -191,6 +191,32 @@ def test_falsify_negative_trials_raises():
         falsify("af_check", 0, -3)
 
 
+# the module, which the package's `falsify` function shadows as an attribute
+falsify_module = importlib.import_module("mixdiv.falsify")
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial started")
+
+
+def test_falsify_above_max_trials_raises_before_any_trial(monkeypatch):
+    # every trial draws its space first
+    monkeypatch.setattr(falsify_module, "_random_space", _no_trial)
+    with pytest.raises(InvalidParameter, match=r"0 <= trials <= 10000000"):
+        falsify("jensen_bound", 0, falsify_module.MAX_TRIALS + 1)
+    with pytest.raises(AssertionError, match="a trial started"):
+        falsify("jensen_bound", 0, falsify_module.MAX_TRIALS)
+
+
+def test_falsify_cli_1e18_trials_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(falsify_module, "_random_space", _no_trial)
+    spec = _write(tmp_path, "f.json", {"tasks": [{"inequality": "af_check", "trials": 1e18}]})
+    assert main(["falsify", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidParameter"
+
+
 def test_falsify_zero_trials_is_empty():
     assert falsify("af_check", 0, 0)["min_slack"] is None
 

@@ -132,3 +132,15 @@ def test_negative_entry_is_a_domain_error():
     for call in _through_each_functional(make_builtin("tv"), bad, POSITIVE[1]):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_negative_zero_atom_is_counted_as_a_zero_atom(side):
+    f = make_builtin("tv")
+    pq = [POSITIVE[0].values.copy(), POSITIVE[1].values.copy()]
+    pq[side][[0, 3]] = 0.0
+    terms, hits = weighted_terms(f, *pq)
+    pq[side][[0, 3]] = -0.0
+    neg_terms, neg_hits = weighted_terms(f, *pq)
+    assert np.array_equal(neg_terms, terms)
+    assert neg_hits == hits == 2

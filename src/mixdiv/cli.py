@@ -16,6 +16,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import divergences, geometry, inequalities
 from .falsify import FalsifyConfig, falsify as run_falsify_trials
 from .errors import MixdivError, OutputError, SpecError
@@ -378,7 +380,9 @@ def main(argv=None) -> int:
     command, spec, fmt, out = (args.pop(key) for key in ("command", "spec", "format", "out"))
 
     try:
-        report, code = _COMMANDS[command][0](_load_spec(spec), **args)
+        # an overflow or NaN reaches the report checks, which raise NonFiniteValue
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, code = _COMMANDS[command][0](_load_spec(spec), **args)
         _emit(report, fmt, out)
     except MixdivError as exc:
         sys.stderr.write(json.dumps(

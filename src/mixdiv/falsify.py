@@ -1,14 +1,18 @@
 """Seeded random search for counterexamples to the inequality checks.
 
-Every trial derives its own RNG from (seed, trial index), so the report is
-identical for a fixed (seed, trials) regardless of evaluation order. A trial
-only draws and checks: it returns its verdicts and its instance, and the
-report turns the minimum-slack instance into its witness once.
+Each call draws from one Philox stream keyed from SeedSequence(seed), in which
+trial t owns fixed counter positions: row t of the scalar rows at the start of
+the stream, and its own origin at counter (t + 1) * 2**128 for its arrays. A
+trial's instance depends only on (seed, t, config), so the report is the same
+for every block size and evaluation order. A trial only draws and checks: it
+returns its verdicts and its instance, and the report turns the minimum-slack
+instance into its witness once.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,15 @@ MAX_ATOMS = 2**16
 MAX_N = 64
 # Bound on the trials of one falsify call: under an hour at a few hundred µs per trial.
 MAX_TRIALS = 10**7
+# Trials whose scalar rows one draw fills; one block is in memory at a time.
+_BLOCK = 256
+
+
+def _integer(name, value) -> int:
+    """An integral value (numpy integers too, bools not) as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"falsify needs an integer {name}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -39,9 +52,65 @@ class FalsifyConfig:
     max_n: int = 4
 
     def __post_init__(self):
+        for name in ("max_atoms", "max_n"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not (2 <= self.max_atoms <= MAX_ATOMS and 1 <= self.max_n <= MAX_N):
             raise InvalidParameter(f"falsifier spaces need 2 <= max_atoms <= {MAX_ATOMS} and 1 <="
                                    f" max_n <= {MAX_N}, got {self.max_atoms} and {self.max_n}")
+
+
+class _Draws:
+    """One trial's draws, under the Generator method names the draw helpers
+    call: scalars are read in order from the trial's row as Python numbers
+    (a read past the row raises IndexError), arrays come from `arrays`,
+    a Generator set to the trial's counter origin."""
+
+    __slots__ = ("row", "k", "arrays")
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def random(self):
+        u = self.row[self.k]
+        self.k += 1
+        return u
+
+    def integers(self, low, high=None):
+        if high is None:
+            low, high = 0, low
+        return low + int(self.random() * (high - low))
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return low + (high - low) * self.random()
+        return self.arrays.uniform(low, high, size)
+
+    def exponential(self, scale, size):
+        return self.arrays.exponential(scale, size)
+
+
+def _trial_draws(seed, trials, width):
+    """One _Draws per trial, reused: the scalar rows of a block of trials come
+    from one draw, row t starting at output t * width of the stream; the
+    arrays of trial t start at counter (t + 1) * 2**128."""
+    bits = np.random.Philox(np.random.SeedSequence(seed))
+    generator = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+    draws = _Draws(generator)
+    for start in range(0, trials, _BLOCK):
+        rows = min(_BLOCK, trials - start)
+        # Philox gives four outputs per counter value, from the value after the
+        # one set: output p is number p % 4 of counter p // 4 + 1
+        first, skip = divmod(start * width, 4)
+        counter[:] = (first, 0, 0, 0)
+        bits.state = state
+        block = generator.random(skip + rows * width)[skip:].reshape(rows, width).tolist()
+        for t, row in enumerate(block, start):
+            counter[:] = (0, 0, t + 1, 0)
+            bits.state = state
+            draws.row, draws.k = row, 0
+            yield draws
 
 
 def _random_space(rng, cfg, probability=False):
@@ -52,9 +121,12 @@ def _random_space(rng, cfg, probability=False):
     return make_space(w)
 
 
-def _random_density(rng, space) -> Density:
-    v = rng.exponential(1.0, space.size) + 1e-3
-    return Density(v / float(np.dot(v, space.weights)))
+def _random_densities(rng, space, k) -> list:
+    """k random probability densities on the space, drawn in one call and
+    normalised by one matrix-vector product."""
+    v = rng.exponential(1.0, (k, space.size)) + 1e-3
+    v /= (v @ space.weights)[:, None]
+    return [Density(row) for row in v]
 
 
 def _random_linear(rng):
@@ -86,8 +158,8 @@ def _random_concave_f(rng):
 
 def _random_bundles(rng, space, n):
     """Random bundles P and Q of n densities each, and their densities by name."""
-    P = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
-    Q = make_bundle(space, [_random_density(rng, space) for _ in range(n)], validate=False)
+    ds = _random_densities(rng, space, 2 * n)
+    P, Q = make_bundle(space, ds[:n], validate=False), make_bundle(space, ds[n:], validate=False)
     return P, Q, {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)}
 
 
@@ -104,7 +176,7 @@ def _trial_af(rng, cfg):
 def _trial_jensen(rng, cfg):
     space = _random_space(rng, cfg)
     f = _random_concave_f(rng) if rng.random() < 0.5 else _random_convex_f(rng)
-    p, q = _random_density(rng, space), _random_density(rng, space)
+    p, q = _random_densities(rng, space, 2)
     return [jensen_bound_check(f, p, q, space)], (space, {"p": p, "q": q}, [f], {})
 
 
@@ -126,8 +198,7 @@ def _trial_interpolation(rng, cfg):
     n = int(rng.integers(1, cfg.max_n + 1))
     space = _random_space(rng, cfg)
     f1, f2 = _positive_f(rng), _positive_f(rng)
-    p1, q1 = _random_density(rng, space), _random_density(rng, space)
-    p2, q2 = _random_density(rng, space), _random_density(rng, space)
+    p1, q1, p2, q2 = _random_densities(rng, space, 4)
     j = float(rng.uniform(-2.0, n))
     k = float(rng.uniform(j + 0.1, n + 2.0))
     i = float(rng.uniform(j, k))
@@ -148,16 +219,23 @@ def _trial_corollary(case, rng, cfg):
     row = _COROLLARIES[case]
     n = int(rng.integers(1, cfg.max_n + 1))
     space = _random_space(rng, cfg, probability=row.reference)
-    p1, q1 = _random_density(rng, space), _random_density(rng, space)
+    p1, q1, *second = _random_densities(rng, space, 2 if row.reference else 4)
+    pair = dict(zip(("P2", "Q2"), second))
     f1 = _DRAW_F[row.f1](rng)
     i = row.range.draw(rng, n)
     f2 = _DRAW_F[row.f2](rng)
-    pair = {}
-    if not row.reference:
-        pair = {"P2": _random_density(rng, space), "Q2": _random_density(rng, space)}
     v = corollary_bound_check(case, f1, f2, p1, q1, i, n, space, **pair)
     named = {"p1": p1, "q1": q1} | {key.lower(): d for key, d in pair.items()}
     return [v], (space, named, [f1, f2], {"n": n, "i": i, "case": case})
+
+
+def _row_width(max_n):
+    """The most scalars one trial of any id draws at max_n. A convex or concave
+    generator draws at most 3 (a branch and two parameters), _positive_f one
+    more. af_check draws n, m, the space size, a branch and n generators:
+    4 + 3 n; interpolation draws n, the size, two positive generators, j, k
+    and i: 13. The other ids draw fewer."""
+    return max(4 + 3 * max_n, 13)
 
 
 _TRIALS = {
@@ -185,6 +263,7 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     minimum-slack witness."""
     if inequality_id not in _TRIALS:
         raise RangeMismatch(f"unknown inequality id {inequality_id!r}")
+    seed, trials = _integer("seed", seed), _integer("trials", trials)
     if not (0 <= trials <= MAX_TRIALS and seed >= 0):
         raise InvalidParameter(f"falsify needs seed >= 0 and 0 <= trials <= {MAX_TRIALS},"
                                f" got {seed} and {trials}")
@@ -193,9 +272,8 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     violations = 0
     min_slack = None
     min_instance = None
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        verdicts, instance = run(rng, cfg)
+    for draws in _trial_draws(seed, trials, _row_width(cfg.max_n)):
+        verdicts, instance = run(draws, cfg)
         for v in verdicts:
             if not v.satisfied:
                 violations += 1
@@ -205,8 +283,8 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
                 min_instance = instance
     return {
         "inequality": inequality_id,
-        "seed": int(seed),
-        "trials": int(trials),
+        "seed": seed,
+        "trials": trials,
         "violations": violations,
         "min_slack": min_slack,
         "witness": None if min_instance is None else _witness(*min_instance),

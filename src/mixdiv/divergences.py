@@ -28,7 +28,7 @@ from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace
 _LOG_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceReport:
     """Value plus the per-atom integrand it was summed from."""
 

@@ -1,12 +1,11 @@
 """Seeded random search for counterexamples to the inequality checks.
 
 Each call draws from one Philox stream keyed from SeedSequence(seed), in which
-trial t owns fixed counter positions: row t of the scalar rows at the start of
-the stream, and its own origin at counter (t + 1) * 2**128 for its arrays. A
-trial's instance depends only on (seed, t, config), so the report is the same
-for every block size and evaluation order. A trial only draws and checks: it
-returns its verdicts and its instance, and the report turns the minimum-slack
-instance into its witness once.
+trial t owns the counter origin (t + 1) * 2**128: its scalar row is the first
+doubles there, and its arrays follow. A trial's instance depends only on
+(seed, t, config), so the report is the same for every evaluation order. A
+trial only draws and checks: it returns its verdicts and its instance, and the
+report turns the minimum-slack instance into its witness once.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ MAX_ATOMS = 2**16
 MAX_N = 64
 # Bound on the trials of one falsify call: under an hour at a few hundred µs per trial.
 MAX_TRIALS = 10**7
-# Trials whose scalar rows one draw fills; one block is in memory at a time.
-_BLOCK = 256
 
 
 def _integer(name, value) -> int:
@@ -63,7 +60,7 @@ class _Draws:
     """One trial's draws, under the Generator method names the draw helpers
     call: scalars are read in order from the trial's row as Python numbers
     (a read past the row raises IndexError), arrays come from `arrays`,
-    a Generator set to the trial's counter origin."""
+    the Generator that drew the row, which they continue."""
 
     __slots__ = ("row", "k", "arrays")
 
@@ -90,27 +87,18 @@ class _Draws:
 
 
 def _trial_draws(seed, trials, width):
-    """One _Draws per trial, reused: the scalar rows of a block of trials come
-    from one draw, row t starting at output t * width of the stream; the
-    arrays of trial t start at counter (t + 1) * 2**128."""
+    """One _Draws per trial, reused: trial t sets the counter to its origin
+    (t + 1) * 2**128 and reads its row as the first width doubles there."""
     bits = np.random.Philox(np.random.SeedSequence(seed))
     generator = np.random.Generator(bits)
     state = bits.state
     counter = state["state"]["counter"]
     draws = _Draws(generator)
-    for start in range(0, trials, _BLOCK):
-        rows = min(_BLOCK, trials - start)
-        # Philox gives four outputs per counter value, from the value after the
-        # one set: output p is number p % 4 of counter p // 4 + 1
-        first, skip = divmod(start * width, 4)
-        counter[:] = (first, 0, 0, 0)
+    for t in range(trials):
+        counter[:] = (0, 0, t + 1, 0)
         bits.state = state
-        block = generator.random(skip + rows * width)[skip:].reshape(rows, width).tolist()
-        for t, row in enumerate(block, start):
-            counter[:] = (0, 0, t + 1, 0)
-            bits.state = state
-            draws.row, draws.k = row, 0
-            yield draws
+        draws.row, draws.k = generator.random(width).tolist(), 0
+        yield draws
 
 
 def _random_space(rng, cfg, probability=False):
@@ -261,13 +249,15 @@ def _witness(space, named, generators, params) -> dict:
 def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = None) -> dict:
     """Run seeded random trials of one inequality; report violations and the
     minimum-slack witness."""
-    if inequality_id not in _TRIALS:
+    if not isinstance(inequality_id, str) or inequality_id not in _TRIALS:
         raise RangeMismatch(f"unknown inequality id {inequality_id!r}")
     seed, trials = _integer("seed", seed), _integer("trials", trials)
     if not (0 <= trials <= MAX_TRIALS and seed >= 0):
         raise InvalidParameter(f"falsify needs seed >= 0 and 0 <= trials <= {MAX_TRIALS},"
                                f" got {seed} and {trials}")
-    cfg = config or FalsifyConfig()
+    cfg = FalsifyConfig() if config is None else config
+    if not isinstance(cfg, FalsifyConfig):
+        raise InvalidParameter(f"falsify needs a FalsifyConfig, got {config!r}")
     run = _TRIALS[inequality_id]
     violations = 0
     min_slack = None

@@ -115,6 +115,12 @@ class _Registry(dict):
     def __missing__(self, name):
         raise InvalidParameter(f"unknown {self.what} {name!r}")
 
+    def row(self, name):
+        """The row named `name`, for names from outside the package: one that
+        is not a string is unknown too, where indexing would raise TypeError
+        on an unhashable one."""
+        return self[name] if isinstance(name, str) else self.__missing__(name)
+
 
 def _real(params: dict, key: str, default=None) -> float:
     """A real parameter; a bool or a string is refused, though float() reads both."""
@@ -220,7 +226,7 @@ def make_builtin(kind: str, **params) -> FFunction:
     kind: "tv" | "klplus" | "power" (alpha) | "linear" (a, b)
           | "scaled" (lam, inner) | "adjoint" (inner)
     """
-    return _KINDS[kind].make(params)
+    return _KINDS.row(kind).make(params)
 
 
 def eval_f(f: FFunction, t: float) -> float:

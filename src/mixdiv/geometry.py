@@ -113,7 +113,7 @@ class ConvexBody2D:
         for name in ("a", "b", "phi", "eps", "k"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameter(f"body parameter {name} must be finite")
-        for holds, message in _FAMILIES[self.family].checks:
+        for holds, message in _FAMILIES.row(self.family).checks:
             if not holds(self):
                 raise InvalidParameter(message)
 
@@ -257,10 +257,10 @@ def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]
 
 
 def _bundles(bodies, grid, orientation):
-    space = grid.space()
-    pairs = [body_densities(K, grid) for K in bodies]
     if orientation not in ("PQ", "QP"):
         raise InvalidParameter(f"orientation must be 'PQ' or 'QP', got {orientation!r}")
+    space = grid.space()
+    pairs = [body_densities(K, grid) for K in bodies]
     P, Q = (DensityBundle(space, tuple(pair[j] for pair in pairs)) for j in (0, 1))
     return (Q, P) if orientation == "QP" else (P, Q)
 
@@ -285,7 +285,10 @@ def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
     image = _FAMILIES[K.family].linear_map
     if image is None:
         raise UnsupportedFamily("only ellipses are closed under linear maps")
-    T = np.asarray(T, dtype=float)
+    try:
+        T = np.asarray(T, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"a linear map must be an array of numbers, got {T!r}") from None
     if not np.isfinite(T).all():
         raise InvalidParameter("linear map entries must be finite")
     if T.shape != (2, 2) or abs(np.linalg.det(T)) < 1e-14:

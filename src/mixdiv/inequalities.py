@@ -75,7 +75,7 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     return {"proportional": ok, "ratio": ratio if ok else None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorDecomposition:
     """Per-atom factors g0, g1..gm whose product is the mixed integrand."""
 

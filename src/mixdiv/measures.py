@@ -21,7 +21,7 @@ from .errors import (
 TOL_NORM = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """Finite measure space: atom weights mu_j > 0."""
 
@@ -52,7 +52,7 @@ def make_space(weights) -> MeasureSpace:
     return MeasureSpace(np.asarray(weights, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Density:
     """Nonnegative density values, one per atom of a MeasureSpace."""
 
@@ -114,7 +114,7 @@ def probability_density(values, s: MeasureSpace, *, normalize: bool = False) -> 
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityBundle:
     """Ordered list of densities sharing one MeasureSpace."""
 

@@ -1,9 +1,11 @@
-"""The falsifier's counter-based stream: a report depends only on (seed,
-trials, config), not on the block size or the process, and no trial reads
-past its scalar row. Also the integer-only falsifier inputs, and CLI
-overflows that end as a typed error rather than a numpy warning."""
+"""The falsifier's counter-based stream: trial t reads its scalar row at its
+own counter origin, a report depends only on (seed, trials, config), not on
+the process, and no trial reads past its scalar row. Also the integer-only
+falsifier inputs, and CLI overflows that end as a typed error rather than a
+numpy warning."""
 
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -22,28 +24,26 @@ from mixdiv.errors import InvalidParameter
 falsify_module = importlib.import_module("mixdiv.falsify")
 
 
-def _reports(seeds, trials, config=None):
-    return [json.dumps(falsify(iq, seed, trials, config), sort_keys=True)
-            for iq in INEQUALITY_IDS for seed in seeds]
-
-
-def test_reports_do_not_depend_on_the_block_size(monkeypatch):
-    default = _reports((0, 1), 300)
-    for block in (1, 7):
-        monkeypatch.setattr(falsify_module, "_BLOCK", block)
-        assert _reports((0, 1), 300) == default
-
-
-def test_a_trial_draws_the_same_wherever_its_block_starts(monkeypatch):
+def test_a_trial_draws_the_same_wherever_its_block_starts():
     def trial(t, trials):
         for i, draws in enumerate(falsify_module._trial_draws(9, trials, 13)):
             if i == t:
                 return list(draws.row), list(draws.exponential(1.0, 5))
 
     expected = trial(300, 301)
-    for block in (1, 7, 300):
-        monkeypatch.setattr(falsify_module, "_BLOCK", block)
-        assert trial(300, 1000) == expected
+    assert trial(300, 1000) == expected
+
+
+@pytest.mark.parametrize("seed, t, width", [(0, 0, 13), (9, 300, 13), (2**64, 7, 196)])
+def test_a_trial_reads_its_row_at_its_counter_origin(seed, t, width):
+    bits = np.random.Philox(np.random.SeedSequence(seed))
+    state = bits.state
+    state["state"]["counter"][:] = (0, 0, t + 1, 0)
+    bits.state = state
+    generator = np.random.Generator(bits)
+    expected = generator.random(width).tolist(), generator.exponential(1.0, 5).tolist()
+    draws = next(itertools.islice(falsify_module._trial_draws(seed, t + 1, width), t, None))
+    assert (draws.row, draws.exponential(1.0, 5).tolist()) == expected
 
 
 def test_cli_falsify_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -190,6 +190,7 @@ def test_scaled_generator_evaluates_at_a_scalar():
     ("scaled", {"inner": make_builtin("tv")}),
     ("scaled", {"lam": 1.0}),
     ("adjoint", {}),
+    ("power", {"alpha": math.inf}),
 ])
 def test_make_builtin_bad_parameters_raise(kind, params):
     with pytest.raises(InvalidParameter):

@@ -287,6 +287,19 @@ def test_body_densities_evaluates_the_body_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_bad_orientation_raises_before_any_body_is_evaluated(monkeypatch):
+    import mixdiv.geometry as geometry
+
+    calls = []
+    monkeypatch.setattr(geometry, "body_eval", lambda K, grid: calls.append(K))
+    fv = FVector([make_builtin("power", alpha=0.5)] * 2)
+    with pytest.raises(InvalidParameter, match="orientation"):
+        mixed_body_divergence(fv, [ellipse(2.0, 0.5), ellipse(1.0, 1.5)], "XX", GRID)
+    with pytest.raises(InvalidParameter, match="orientation"):
+        ith_mixed_body_divergence(fv[0], fv[1], ellipse(2.0, 0.5), unit_disk(), 1.0, "XX", GRID)
+    assert calls == []
+
+
 def test_grid_tables_are_read_only():
     grid = CircleGrid(128)
     for table in (grid.nodes, grid.weights, *grid.harmonic(1)):

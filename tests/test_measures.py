@@ -4,6 +4,7 @@ import pytest
 from mixdiv import (
     Density,
     DensityBundle,
+    DivergenceReport,
     make_bundle,
     make_space,
     probability_density,
@@ -15,6 +16,7 @@ from mixdiv.errors import (
     NormalizationFailure,
     ZeroDensityAtom,
 )
+from mixdiv.inequalities import FactorDecomposition
 
 
 def test_make_space_counting():
@@ -28,7 +30,8 @@ def test_make_space_total_mass():
 
 
 @pytest.mark.parametrize("weights", [[1, 0], [1, -1], [1, float("inf")], [float("nan")],
-                                     [1, -0.0], [-float("inf")], [1, float("nan")]])
+                                     [1, -0.0], [-float("inf")], [1, float("nan")],
+                                     [[1.0, 1.0]]])
 def test_make_space_rejects_bad_weights(weights):
     with pytest.raises(NonPositiveWeight):
         make_space(weights)
@@ -93,3 +96,22 @@ def test_bundle_shares_space(counting2):
     assert len(b) == 2
     with pytest.raises(LengthMismatch):
         DensityBundle(counting2, (Density([1.0]),))
+
+
+# records that hold arrays: numpy's == has no single truth value, so they
+# compare by identity and hash by id
+RECORDS = {
+    "MeasureSpace": lambda: make_space([0.5, 1.5]),
+    "Density": lambda: Density([0.5, 1.5]),
+    "DensityBundle": lambda: DensityBundle(make_space([1.0, 1.0]), (Density([0.5, 1.5]),)),
+    "DivergenceReport": lambda: DivergenceReport(1.0, np.array([0.5, 1.5])),
+    "FactorDecomposition": lambda: FactorDecomposition(np.ones(2), (np.ones(2),)),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_that_hold_arrays_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert len({a, b, a}) == 2 and {a: 1}[a] == 1

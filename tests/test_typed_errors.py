@@ -10,19 +10,26 @@ import pytest
 
 from mixdiv import (
     INEQUALITY_IDS,
+    CircleGrid,
+    ConvexBody2D,
     Density,
     DensityBundle,
     FVector,
     FalsifyConfig,
     af_check,
+    apply_linear_map,
     corollary_bound_check,
+    ellipse,
     falsify,
+    from_spec,
     interpolation_check,
     ith_mixed,
     ith_mixed_reference,
     make_builtin,
     make_space,
+    mixed_body_divergence,
     named_divergence,
+    probability_density,
 )
 from mixdiv import errors
 from mixdiv.cli import main
@@ -30,7 +37,10 @@ from mixdiv.errors import (
     DegenerateExponent,
     IndexOutOfRange,
     InvalidParameter,
+    LengthMismatch,
+    LogOfZero,
     NonFiniteValue,
+    NormalizationFailure,
     RangeMismatch,
 )
 
@@ -260,6 +270,12 @@ MALFORMED_SPECS = {
         {"type": "mixed", "fs": 5, "ps": ["p"], "qs": ["q"]})),
     "task_not_object": ("verify", {"space": {"weights": [1, 1, 1]}, "tasks": [5]}),
     "trials_not_integer": ("falsify", {"tasks": [{"inequality": "af_check", "trials": "x"}]}),
+    "unknown_density_name": ("compute", _verify_spec(
+        {"type": "classical", "f": {"kind": "tv"}, "p": "nope", "q": "q"})),
+    "unknown_task_type": ("verify", _verify_spec({"type": "nope"})),
+    "norm_tolerance_zero": ("compute", _verify_spec(
+        {"type": "classical", "f": {"kind": "tv"}, "p": "p", "q": "q"})
+        | {"tolerances": {"norm": 0}}),
 }
 
 
@@ -351,3 +367,47 @@ def test_falsify_cli_above_a_bound_exits_2_before_any_trial(tmp_path, capsys, mo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "InvalidParameter"
+
+
+# -- typed errors at the library's entry points ----------------------------------
+
+
+HALVES = make_space([0.5, 0.5])
+P_HALF, Q_HALF = Density([0.8, 1.2]), Density([1.5, 0.5])
+ROOT = make_builtin("power", alpha=0.5)
+
+TYPED_RAISES = {
+    # ill-typed names and configs, refused where they enter
+    "inequality_id_list": (lambda: falsify(["af_check"], 0, 1), RangeMismatch),
+    "config_dict": (lambda: falsify("af_check", 0, 1, {"max_n": 2}), InvalidParameter),
+    "generator_kind_list": (lambda: make_builtin(["tv"]), InvalidParameter),
+    "body_family_list": (lambda: ConvexBody2D(["ellipse"]), InvalidParameter),
+    "ragged_linear_map": (lambda: apply_linear_map(ellipse(2.0, 1.0), [[1, 2], [3]]),
+                          InvalidParameter),
+    # each atom has a zero P density in one of the two pairs: the Hellinger integral is 0
+    "renyi_of_a_zero_hellinger_integral": (lambda: named_divergence(
+        "mixed_renyi", DensityBundle(HALVES, (Density([2.0, 0.0]), Density([0.0, 2.0]))),
+        DensityBundle(HALVES, (Density([1.0, 1.0]),) * 2), alpha=0.5), LogOfZero),
+    "ith_mixed_n_zero": (lambda: ith_mixed(ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, 0.5, 0,
+                                           HALVES), IndexOutOfRange),
+    "two_bodies_one_generator": (lambda: mixed_body_divergence(
+        FVector([ROOT]), [ellipse(2.0, 1.0), ellipse(1.0, 2.0)], "PQ", CircleGrid(64)),
+        InvalidParameter),
+    "empty_fvector": (lambda: FVector([]), InvalidParameter),
+    "generator_spec_string": (lambda: from_spec("tv"), InvalidParameter),
+    "af_check_m_zero": (lambda: af_check(FVector([ROOT]), DensityBundle(HALVES, (P_HALF,)),
+                                         DensityBundle(HALVES, (Q_HALF,)), 0), RangeMismatch),
+    "unknown_corollary_case": (lambda: corollary_bound_check(
+        "nope", ROOT, ROOT, P_HALF, Q_HALF, 1.0, 2, HALVES), RangeMismatch),
+    "concave_band_without_second_pair": (lambda: corollary_bound_check(
+        "concave_band", ROOT, ROOT, P_HALF, Q_HALF, 1.0, 2, HALVES), RangeMismatch),
+    "normalize_zero_mass": (lambda: probability_density([0.0, 0.0], HALVES, normalize=True),
+                            NormalizationFailure),
+    "empty_bundle": (lambda: DensityBundle(HALVES, ()), LengthMismatch),
+}
+
+
+@pytest.mark.parametrize("call, error", TYPED_RAISES.values(), ids=TYPED_RAISES.keys())
+def test_a_bad_input_raises_its_typed_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -23,10 +23,6 @@ from .errors import (
 from .ffunctions import FFunction, FVector, adjoint, make_builtin, weighted_terms
 from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace
 
-# Below this, a factor is treated as an exact zero instead of going through
-# log-space (which would underflow).
-_LOG_FLOOR = 1e-300
-
 
 @dataclass(frozen=True, eq=False)
 class DivergenceReport:
@@ -52,15 +48,12 @@ class _Slots:
     """The per-atom integrands w_i of one call's n slots, each evaluated once,
     on one space, with the 0*inf convention hits of their evaluation.
 
-    Every integrand is an ordered product of powers w_i ** e (`power`). Logs
-    and roots (e = 1/n) recur across products and are kept for the call.
-    `product(idx)` is the per-atom geometric mean prod_{i in idx} w_i^(1/n)
-    over any n slot indices (repeats allowed), in log-space when every chosen
-    slot is above _LOG_FLOOR. Rows are accumulated in slot order, as numpy's
-    axis-0 reductions of a stacked (n, atoms) array do, so the result matches
-    exp(log(stack).sum(0) / n) and prod(stack ** (1/n), 0) bit for bit. (On a
-    one-atom space with n >= 8, numpy sums the column pairwise instead, and
-    the last bit can differ.)
+    Every integrand is an ordered product of powers w_i ** e (`power`). Roots
+    (e = 1/n) recur across products and are kept for the call. `product(idx)`
+    is the per-atom geometric mean prod_{i in idx} w_i^(1/n) over any n slot
+    indices (repeats allowed). Factors are multiplied in slot order, as numpy's
+    axis-0 product of a stacked (n, atoms) array does, so the result matches
+    prod(stack ** (1/n), 0) bit for bit.
     """
 
     def __init__(self, terms, space: MeasureSpace, hits: int = 0):
@@ -68,7 +61,6 @@ class _Slots:
         self.n = len(terms)
         self.space = space
         self.hits = hits
-        self._safe = None  # per slot: is w_i above _LOG_FLOOR? set by `product`
         self._memo = {}
 
     @classmethod
@@ -91,15 +83,15 @@ class _Slots:
     def report(self, integrand: np.ndarray) -> DivergenceReport:
         return DivergenceReport(self.value(integrand), integrand, self.hits)
 
-    def _term(self, i: int, e=None) -> np.ndarray:
-        """w_i ** e, or log(w_i) when e is None."""
+    def _term(self, i: int, e: float) -> np.ndarray:
+        """w_i ** e; DegenerateExponent for a zero factor under a negative e."""
         t = self._memo.get((i, e))
         if t is None:
             w = self.w[i]
-            if e is not None and e < 0.0 and (w == 0.0).any():
+            if e < 0.0 and (w == 0.0).any():
                 raise DegenerateExponent("zero integrand factor raised to a negative power")
-            t = np.log(w) if e is None else w ** e
-            if e is None or e == 1.0 / self.n:  # other powers are used once: not held
+            t = w ** e
+            if e == 1.0 / self.n:  # other powers are used once: not held
                 self._memo[i, e] = t
         return t
 
@@ -120,15 +112,7 @@ class _Slots:
 
     def product(self, idx=None) -> np.ndarray:
         idx = range(self.n) if idx is None else idx
-        if self._safe is None:
-            self._safe = [w.min() > _LOG_FLOOR for w in self.w]
-        if not all(self._safe[i] for i in idx):
-            return self.power((i, 1.0 / self.n) for i in idx)
-        out = self._term(idx[0]).copy()
-        for i in idx[1:]:
-            out += self._term(i)
-        out /= self.n
-        return np.exp(out, out=out)
+        return self.power((i, 1.0 / self.n) for i in idx)
 
 
 def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf, terms=None) -> _Slots:

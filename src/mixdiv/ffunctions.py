@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -230,8 +231,8 @@ def make_builtin(kind: str, **params) -> FFunction:
 
 
 def eval_f(f: FFunction, t: float) -> float:
-    """Evaluate f at a strictly positive finite point."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
+    """Evaluate f at a strictly positive finite real point (a bool is not one)."""
+    if isinstance(t, bool) or not (isinstance(t, Real) and math.isfinite(t) and t > 0):
         raise DomainError(f"generator argument must be a finite positive real, got {t!r}")
     return float(f(float(t)))
 

@@ -109,10 +109,14 @@ class ConvexBody2D:
     k: int = 2
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it; a value that is not a real fails here
         for name in ("a", "b", "phi", "eps", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameter(f"body parameter {name} must be finite")
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise InvalidParameter(f"body parameter {name} must be a finite real")
         for holds, message in _FAMILIES.row(self.family).checks:
             if not holds(self):
                 raise InvalidParameter(message)

@@ -28,7 +28,10 @@ class MeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        try:
+            w = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise NonPositiveWeight(f"weights must be reals, got {self.weights!r}") from None
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 1:
             raise NonPositiveWeight("weights must be a non-empty 1-d sequence")
@@ -49,7 +52,7 @@ class MeasureSpace:
 
 def make_space(weights) -> MeasureSpace:
     """Build a validated MeasureSpace from a sequence of positive weights."""
-    return MeasureSpace(np.asarray(weights, dtype=float))
+    return MeasureSpace(weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +62,10 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        try:
+            v = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ZeroDensityAtom(f"density values must be reals, got {self.values!r}") from None
         object.__setattr__(self, "values", v)
         if v.ndim != 1:
             raise LengthMismatch("density values must be 1-d")
@@ -103,13 +109,13 @@ def probability_density(values, s: MeasureSpace, *, normalize: bool = False) -> 
     With normalize=True the values are rescaled to unit mass; otherwise a
     wrong normalization raises rather than being silently fixed.
     """
-    v = np.asarray(values, dtype=float)
+    d = Density(values)
+    validate_density(d, s)  # the length, before any mass is taken
     if normalize:
-        total = float(np.dot(v, s.weights))
+        total = float(np.dot(d.values, s.weights))
         if total <= 0:
             raise NormalizationFailure(total)
-        v = v / total
-    d = Density(v)
+        d = Density(d.values / total)
     validate_density(d, s, strictly_positive=True, probability=True)
     return d
 
@@ -143,7 +149,7 @@ class DensityBundle:
 def make_bundle(space: MeasureSpace, vectors, *, validate: bool = True) -> DensityBundle:
     ds = []
     for v in vectors:
-        d = v if isinstance(v, Density) else Density(np.asarray(v, dtype=float))
+        d = v if isinstance(v, Density) else Density(v)
         if validate:
             validate_density(d, space, strictly_positive=True, probability=True)
         ds.append(d)

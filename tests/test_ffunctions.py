@@ -28,9 +28,12 @@ def test_eval_examples():
     assert eval_f(make_builtin("tv"), 1.0) == 0.0
     assert eval_f(make_builtin("power", alpha=0.5), 4.0) == pytest.approx(2.0)
     assert eval_f(make_builtin("klplus"), 0.5) == 0.0
+    # any numbers.Real that is not a bool, numpy scalars too
+    assert eval_f(make_builtin("tv"), np.int64(2)) == eval_f(make_builtin("tv"), 2.0)
+    assert eval_f(make_builtin("tv"), np.float32(2.0)) == eval_f(make_builtin("tv"), 2.0)
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("t", [0.0, -1.0, float("inf"), float("nan"), True, np.True_])
 def test_eval_domain(t):
     with pytest.raises(DomainError):
         eval_f(make_builtin("tv"), t)

@@ -65,10 +65,18 @@ def test_roots_and_logs_are_kept_for_the_call():
     slots = _slots([0.5, 2.0, 3.0, 4.0], [1.5, 0.5, 2.0, 0.25])
     root = slots.power([(0, 0.5)])  # n = 2 slots: e = 1/2 is the root
     assert slots.power([(0, 0.5)]) is root
-    assert slots._term(1) is slots._term(1)
     # other powers serve one product and are not held
     assert slots.power([(0, 0.4)]) is not slots.power([(0, 0.4)])
     assert slots.product() is not slots.product()  # a fresh array each time
+
+
+def test_a_tiny_factor_leaves_the_other_atoms_bits(rng):
+    w = rng.uniform(0.1, 3.0, (3, SPACE.size))
+    products = []
+    for tiny in (2e-300, 5e-301):  # either side of 1e-300
+        w[0, 0] = tiny
+        products.append(_slots(*w).product())
+    assert np.array_equal(products[0][1:], products[1][1:])
 
 
 @pytest.mark.parametrize("i", [0.0, 1.0, 2.5, 4.0, -1.5, 5.0])

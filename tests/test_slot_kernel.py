@@ -1,7 +1,8 @@
 """The per-call slot kernel behind the mixed functionals and the AF, chain
 and interpolation checks reproduces the stacked, recompute-everything forms
-bit for bit (exact ==), on inputs with zero factors (the product path) and
-without them (the log path)."""
+bit for bit (exact ==): every integrand is one ordered product of roots, on
+inputs with zero factors and without them, on one-atom spaces, and with one
+slot, where the mixed divergence is the classical one."""
 
 import math
 
@@ -33,10 +34,7 @@ from conftest import random_prob
 
 def stacked_geometric_product(factors, n):
     """prod_i factors[i]^(1/n) per atom over a stacked array."""
-    stack = np.stack(factors)
-    if np.all(stack > 1e-300):
-        return np.exp(np.log(stack).sum(axis=0) / n)
-    return np.prod(stack ** (1.0 / n), axis=0)
+    return np.prod(np.stack(factors) ** (1.0 / n), axis=0)
 
 
 def stacked_mixed(fv, P, Q):
@@ -68,6 +66,10 @@ LOG_PATH_FVS = [
     lambda: [make_builtin("power", alpha=2.5), make_builtin("power", alpha=-1.0),
              make_builtin("linear", a=1.0, b=0.2), make_builtin("power", alpha=1.5)],
 ]
+# n >= 8 slots on one atom: the factors still multiply in slot order, as np.prod does
+ONE_ATOM_FVS = [
+    lambda: [make_builtin("linear", a=0.5 * k, b=1.0) for k in range(10)],
+]
 
 
 def _instance(rng, fv, atoms=9, equal_atoms=False):
@@ -87,6 +89,8 @@ def _all_cases(rng):
         yield _instance(rng, make(), equal_atoms=True)
     for make in LOG_PATH_FVS:
         yield _instance(rng, make())
+    for make in ONE_ATOM_FVS:
+        yield _instance(rng, make(), atoms=1)
 
 
 def _has_zero_factor(fv, P, Q):
@@ -131,6 +135,16 @@ def test_af_check_sides_match_substituted_bundles(rng):
             for k in range(n - m, n):
                 rhs *= mixed_f_divergence(*substituted(fv, P, Q, m, k)).value
             assert v.rhs == rhs
+
+
+@pytest.mark.parametrize("f", [make_builtin("power", alpha=a) for a in (0.2, 0.5, 0.9)]
+                         + [make_builtin("linear", a=0.3, b=1.2)])
+def test_one_slot_mixed_is_the_classical_divergence(rng, f):
+    for _ in range(20):
+        fv, P, Q = _instance(rng, [f])
+        classical = classical_f_divergence(f, P[0], Q[0], P.space).value
+        assert mixed_f_divergence(fv, P, Q).value == classical
+        assert concave_chain_check(fv, P, Q)[0].slack == 0.0
 
 
 def test_af_check_equality_diagnosis_on_identical_slots(rng):

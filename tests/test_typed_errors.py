@@ -26,6 +26,7 @@ from mixdiv import (
     ith_mixed,
     ith_mixed_reference,
     make_builtin,
+    make_bundle,
     make_space,
     mixed_body_divergence,
     named_divergence,
@@ -40,8 +41,10 @@ from mixdiv.errors import (
     LengthMismatch,
     LogOfZero,
     NonFiniteValue,
+    NonPositiveWeight,
     NormalizationFailure,
     RangeMismatch,
+    ZeroDensityAtom,
 )
 
 # numpy warns on the overflows these inputs are built to provoke
@@ -404,6 +407,18 @@ TYPED_RAISES = {
     "normalize_zero_mass": (lambda: probability_density([0.0, 0.0], HALVES, normalize=True),
                             NormalizationFailure),
     "empty_bundle": (lambda: DensityBundle(HALVES, ()), LengthMismatch),
+    # values that numpy cannot read as reals, refused by the class they enter
+    "string_weights": (lambda: make_space("ab"), NonPositiveWeight),
+    "ragged_weights": (lambda: make_space([[1], [1, 2]]), NonPositiveWeight),
+    "string_density": (lambda: Density(["a"]), ZeroDensityAtom),
+    "ragged_density": (lambda: Density([[1], [1, 2]]), ZeroDensityAtom),
+    "string_probability_density": (lambda: probability_density(["a"], HALVES), ZeroDensityAtom),
+    "string_bundle_member": (lambda: make_bundle(HALVES, [["a"]]), ZeroDensityAtom),
+    "string_body_axis": (lambda: ConvexBody2D("ellipse", a="x"), InvalidParameter),
+    "string_trigball_frequency": (lambda: ConvexBody2D("trigball", eps=0.01, k="3"),
+                                  InvalidParameter),
+    "normalize_wrong_length": (lambda: probability_density([1.0, 2.0, 3.0], HALVES,
+                                                           normalize=True), LengthMismatch),
 }
 
 

@@ -232,7 +232,11 @@ def make_builtin(kind: str, **params) -> FFunction:
 
 def eval_f(f: FFunction, t: float) -> float:
     """Evaluate f at a strictly positive finite real point (a bool is not one)."""
-    if isinstance(t, bool) or not (isinstance(t, Real) and math.isfinite(t) and t > 0):
+    try:
+        ok = not isinstance(t, bool) and isinstance(t, Real) and math.isfinite(t) and t > 0
+    except OverflowError:  # a real beyond the float range
+        ok = False
+    if not ok:
         raise DomainError(f"generator argument must be a finite positive real, got {t!r}")
     return float(f(float(t)))
 

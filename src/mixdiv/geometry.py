@@ -65,19 +65,10 @@ class CircleGrid:
     def _trig(self) -> tuple[np.ndarray, np.ndarray]:
         return _readonly(np.cos(self.nodes)), _readonly(np.sin(self.nodes))
 
-    def harmonic(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cos m*theta_j, sin m*theta_j) read from the m = 1 tables.
-
-        m*theta_j and theta_{m*j mod N} differ by a multiple of 2*pi, so the
-        lookup is exact and never rounds m*theta_j.
-        """
-        if m % self.node_count == 1:
-            return self._trig
-        _, c, s = zip(*self._blocks(m))
-        return np.concatenate(c), np.concatenate(s)
-
     def _blocks(self, m: int):
-        """Yield (slice, cos m*theta, sin m*theta) over blocks of _BLOCK nodes.
+        """Yield (slice, cos m*theta, sin m*theta) over blocks of _BLOCK nodes,
+        read from the m = 1 tables: m*theta_i and theta_{m*i mod N} differ by a
+        multiple of 2*pi, so the lookup is exact and never rounds m*theta_i.
 
         Indices are (m*i) mod N plus the block's offset (m*start) mod N, so
         `take(mode="wrap")` reduces each with at most one subtraction."""
@@ -120,9 +111,6 @@ class ConvexBody2D:
         for holds, message in _FAMILIES.row(self.family).checks:
             if not holds(self):
                 raise InvalidParameter(message)
-
-    def support(self, theta):
-        return self.support_derivatives(theta)[0]
 
     def support_derivatives(self, theta):
         """(h, h', h'') evaluated analytically, with h'' = f - h."""
@@ -248,15 +236,15 @@ def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
 
 
 def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]:
-    """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|), formed as
-    h^-2 and f h, each divided by its trapezoid sum 2|K*| or 2|K|, in the rows
-    of one allocation as in `body_eval`."""
-    ev, w = body_eval(K, grid), grid.weights
+    """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|), filled as
+    h^-2 and f h block by block in the rows of one allocation, as in
+    `body_eval`, each then divided by its trapezoid sum 2|K*| or 2|K|."""
     p, q = np.empty((2, grid.node_count))
-    np.divide(1.0, np.multiply(ev["h"], ev["h"], out=p), out=p)
-    np.multiply(ev["f"], ev["h"], out=q)
-    p /= np.dot(p, w)
-    q /= np.dot(q, w)
+    for block, h, _, f in _stream(K, grid):
+        np.divide(1.0, np.multiply(h, h, out=p[block]), out=p[block])
+        np.multiply(f, h, out=q[block])
+    p /= np.dot(p, grid.weights)
+    q /= np.dot(q, grid.weights)
     return Density(p), Density(q)
 
 

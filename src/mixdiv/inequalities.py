@@ -249,6 +249,13 @@ _COROLLARIES = {
 
 
 def _pair_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
+    """Equality for i other than 0 and n: strict generators need every
+    density equal; for linear ones the bound is Hoelder's, tight iff
+    a1 p1 + b1 q1 and a2 p2 + b2 q2 are proportional."""
+    if f1.convexity_tag == f2.convexity_tag == LINEAR:
+        (a1, b1), (a2, b2) = map(_linear_coefficients, (f1, f2))
+        return {"linear_combinations_proportional": effective_proportionality(
+            a1 * P1.values + b1 * Q1.values, a2 * P2.values + b2 * Q2.values, s)["proportional"]}
     if not (f1.is_strict and f2.is_strict):
         return None
     stacks = np.stack([P1.values, Q1.values, P2.values, Q2.values])

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,12 @@ def test_eval_examples():
     assert eval_f(make_builtin("tv"), np.float32(2.0)) == eval_f(make_builtin("tv"), 2.0)
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0, float("inf"), float("nan"), True, np.True_])
+@pytest.mark.parametrize("t", [
+    0.0, -1.0, float("inf"), float("nan"), True, np.True_,
+    # reals beyond the float range
+    pytest.param(10 ** 400, id="huge"), pytest.param(-10 ** 400, id="-huge"),
+    pytest.param(Fraction(10 ** 400, 3), id="huge_fraction"),
+])
 def test_eval_domain(t):
     with pytest.raises(DomainError):
         eval_f(make_builtin("tv"), t)

@@ -62,8 +62,9 @@ def test_ellipse_derivative_consistency():
     theta = GRID.nodes
     h, hp, hpp = K.support_derivatives(theta)
     eps = 1e-5
-    hp_num = (K.support(theta + eps) - K.support(theta - eps)) / (2 * eps)
-    hpp_num = (K.support(theta + eps) - 2 * h + K.support(theta - eps)) / eps ** 2
+    h_plus, h_minus = (K.support_derivatives(theta + d)[0] for d in (eps, -eps))
+    hp_num = (h_plus - h_minus) / (2 * eps)
+    hpp_num = (h_plus - 2 * h + h_minus) / eps ** 2
     assert np.allclose(hp, hp_num, atol=1e-8)
     assert np.allclose(hpp, hpp_num, atol=1e-5)
 
@@ -192,7 +193,8 @@ def test_apply_linear_map_support_identity(rng):
     tu = T.T @ u
     norms = np.linalg.norm(tu, axis=0)
     angles = np.arctan2(tu[1], tu[0])
-    assert np.allclose(TK.support(theta), norms * K.support(angles), rtol=1e-12)
+    assert np.allclose(TK.support_derivatives(theta)[0],
+                       norms * K.support_derivatives(angles)[0], rtol=1e-12)
 
 
 def test_affine_invariance_det_one(rng):
@@ -251,10 +253,17 @@ def test_jensen_chain_agrees_with_isoperimetric():
 # -- grid tables and the single body evaluation ------------------------------
 
 
+def _harmonic(grid, m):
+    """(cos m*theta_j, sin m*theta_j) over the whole grid, joined from the
+    blocks the library streams."""
+    _, c, s = zip(*grid._blocks(m))
+    return np.concatenate(c), np.concatenate(s)
+
+
 @pytest.mark.parametrize("m", [1, 2, 40, 997])
 def test_grid_harmonic_matches_mpmath(m):
     mpmath = pytest.importorskip("mpmath")
-    c, s = GRID.harmonic(m)
+    c, s = _harmonic(GRID, m)
     N = GRID.node_count
     with mpmath.workdps(40):
         arg = [m * 2 * mpmath.pi * j / N for j in range(N)]
@@ -276,13 +285,13 @@ def test_body_eval_matches_support_derivatives(K):
 def test_body_densities_evaluates_the_body_once(monkeypatch):
     import mixdiv.geometry as geometry
 
-    calls = []
+    calls, stream = [], geometry._stream
 
     def counting(K, grid):
         calls.append(K)
-        return body_eval(K, grid)
+        return stream(K, grid)
 
-    monkeypatch.setattr(geometry, "body_eval", counting)
+    monkeypatch.setattr(geometry, "_stream", counting)
     body_densities(ellipse(2.0, 0.5), GRID)
     assert len(calls) == 1
 
@@ -291,7 +300,7 @@ def test_a_bad_orientation_raises_before_any_body_is_evaluated(monkeypatch):
     import mixdiv.geometry as geometry
 
     calls = []
-    monkeypatch.setattr(geometry, "body_eval", lambda K, grid: calls.append(K))
+    monkeypatch.setattr(geometry, "_stream", lambda K, grid: calls.append(K))
     fv = FVector([make_builtin("power", alpha=0.5)] * 2)
     with pytest.raises(InvalidParameter, match="orientation"):
         mixed_body_divergence(fv, [ellipse(2.0, 0.5), ellipse(1.0, 1.5)], "XX", GRID)
@@ -302,14 +311,14 @@ def test_a_bad_orientation_raises_before_any_body_is_evaluated(monkeypatch):
 
 def test_grid_tables_are_read_only():
     grid = CircleGrid(128)
-    for table in (grid.nodes, grid.weights, *grid.harmonic(1)):
+    for table in (grid.nodes, grid.weights, *grid._trig):
         with pytest.raises(ValueError):
             table[0] = 1.0
 
 
 def test_grid_equality_and_hash():
     a, b = CircleGrid(256), CircleGrid(256)
-    a.harmonic(3)  # computed tables do not take part in equality
+    a._trig  # computed tables do not take part in equality
     assert a == b and hash(a) == hash(b)
     assert CircleGrid(256) != CircleGrid(512)
 
@@ -327,8 +336,8 @@ def _rel_max(got, ref):
 @pytest.mark.parametrize("m", [2, 5, 997])
 def test_block_gather_is_the_exact_table_lookup(m):
     N = SEAM_GRID.node_count
-    c1, s1 = SEAM_GRID.harmonic(1)
-    c, s = SEAM_GRID.harmonic(m)
+    c1, s1 = SEAM_GRID._trig
+    c, s = _harmonic(SEAM_GRID, m)
     idx = (m * np.arange(N)) % N
     assert np.array_equal(c, c1[idx]) and np.array_equal(s, s1[idx])
 
@@ -360,7 +369,7 @@ def test_body_functionals_builds_no_full_size_array(K):
     import tracemalloc
 
     grid = CircleGrid(32 * _BLOCK)
-    grid.weights, grid.harmonic(1)  # the grid's own tables are built once
+    grid.weights, grid._trig  # the grid's own tables are built once
     tracemalloc.start()
     try:
         body_functionals(K, grid)
@@ -368,6 +377,22 @@ def test_body_functionals_builds_no_full_size_array(K):
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.node_count
+
+
+@pytest.mark.parametrize("K", [ellipse(2.0, 0.5, 0.3), trigball(0.03, 5)])
+def test_body_densities_allocates_only_its_pair(K):
+    # p and q fill the two rows of one (2, N) array; nothing else is full size
+    import tracemalloc
+
+    grid = CircleGrid(32 * _BLOCK)
+    grid.weights, grid._trig  # the grid's own tables are built once
+    tracemalloc.start()
+    try:
+        body_densities(K, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * grid.node_count
 
 
 @pytest.mark.parametrize("K", [ellipse(100.0, 0.01), ellipse(2.0, 0.5, 5.9)])

@@ -440,3 +440,19 @@ def test_reference_diagnosis_reads_a_linear_f1_through_its_limits(f1):
     assert v.equality
     assert v.diagnosis == {"linear_combination_constant": False}
 
+
+
+# -- pair corollary diagnosis of linear generators ----------------------------
+
+
+@pytest.mark.parametrize("f2", [make_builtin("linear", a=1.0, b=2.0),
+                                make_builtin("linear", a=2.0, b=4.0)])
+def test_pair_diagnosis_of_linear_generators_is_hoelder_equality(f2):
+    # the bound is Hoelder's inequality, tight iff a1 p1 + b1 q1 and a2 p2 + b2 q2
+    # are proportional; 2 p1 + 4 q1 = 2 (p1 + 2 q1)
+    P1, Q1 = Density([0.8, 1.2, 1.0]), Density([1.6, 1.6, 0.4])
+    f1 = make_builtin("linear", a=1.0, b=2.0)
+    v = corollary_bound_check("concave_band", f1, f2, P1, Q1, 1.5, 3,
+                              make_space([0.25, 0.25, 0.5]), P2=P1, Q2=Q1)
+    assert v.equality
+    assert v.diagnosis == {"linear_combinations_proportional": True}

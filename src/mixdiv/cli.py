@@ -253,10 +253,8 @@ def run_falsify(spec, seed=None, trials=None):
     results = []
     for task in _Reader(spec, "spec").get("tasks", _LIST):
         task = _Reader(task, "falsify task")
-        cfg = FalsifyConfig(
-            max_atoms=task.get("max_atoms", _int, 12),
-            max_n=task.get("max_n", _int, 4),
-        )
+        cfg = FalsifyConfig(**{key: task.get(key, _int)
+                               for key in ("max_atoms", "max_n") if key in task.data})
         results.append(run_falsify_trials(
             task.get("inequality", _STR),
             task.get("seed", _int, seed if seed is not None else 0),

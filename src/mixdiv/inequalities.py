@@ -75,6 +75,12 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     return {"proportional": ok, "ratio": ratio if ok else None}
 
 
+def _equal(*arrays) -> bool:
+    """Does each array equal the first within PROP_TOL (1 + |first|) atom by atom?"""
+    return all(np.all(np.abs(a - arrays[0]) <= PROP_TOL * (1 + np.abs(arrays[0])))
+               for a in arrays[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class FactorDecomposition:
     """Per-atom factors g0, g1..gm whose product is the mixed integrand."""
@@ -147,11 +153,12 @@ def jensen_bound_check(
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
     relation = "ge" if f.is_convex else "le"
-    v = _verdict(slots.value(slots.w[0]), f.value_at_one, relation)
-    if f.is_strict:
-        same = bool((np.abs(p.values - q.values) <= PROP_TOL * (1 + np.abs(q.values))).all())
-        v = replace(v, diagnosis={"densities_equal": same})
-    return v
+    return _verdict(slots.value(slots.w[0]), f.value_at_one, relation, _jensen_diagnosis(f, p, q))
+
+
+def _jensen_diagnosis(f, p, q) -> Optional[dict]:
+    """Jensen's bound is tight for a strict f iff p = q."""
+    return {"densities_equal": _equal(q.values, p.values)} if f.is_strict else None
 
 
 def concave_chain_check(
@@ -168,15 +175,13 @@ def concave_chain_check(
     prod_ones = math.prod(f.value_at_one for f in fv)
     left = _verdict(_power(d_mixed, n), prod_classical, "le")
     right = _verdict(prod_classical, prod_ones, "le")
-    if all(f.convexity_tag == LINEAR for f in fv):
-        # a zero f has no convex combination
+    if left.equality and all(f.convexity_tag == LINEAR for f in fv):
+        # Hoelder's step is tight iff the convex combinations are equal, or a
+        # zero f (with no convex combination) makes both sides 0
         combos = [(a * p.values + b * q.values) / (a + b)
                   for (a, b), p, q in zip(map(_linear_coefficients, fv), P, Q) if a + b > 0]
-        match = all(
-            np.all(np.abs(combos[0] - c) <= 1e-12 * (1 + np.abs(combos[0])))
-            for c in combos[1:]
-        )
-        right = replace(right, diagnosis={"convex_combinations_equal": bool(match)})
+        equal = len(combos) < n or _equal(*combos)
+        left = replace(left, diagnosis={"convex_combinations_equal": equal})
     return left, right
 
 
@@ -258,24 +263,15 @@ def _pair_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
             a1 * P1.values + b1 * Q1.values, a2 * P2.values + b2 * Q2.values, s)["proportional"]}
     if not (f1.is_strict and f2.is_strict):
         return None
-    stacks = np.stack([P1.values, Q1.values, P2.values, Q2.values])
-    return {"all_densities_equal": bool(
-        np.all(np.abs(stacks - stacks[0]) <= PROP_TOL * (1 + np.abs(stacks[0])))
-    )}
+    return {"all_densities_equal": _equal(P1.values, Q1.values, P2.values, Q2.values)}
 
 
 def _reference_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
     if f1.is_strict:
-        unit = np.ones(s.size)
-        return {"pair_equals_reference": bool(
-            np.all(np.abs(P1.values - unit) <= PROP_TOL)
-            and np.all(np.abs(Q1.values - unit) <= PROP_TOL)
-        )}
+        return {"pair_equals_reference": _equal(1.0, P1.values, Q1.values)}
     if f1.convexity_tag == LINEAR:
         a, b = _linear_coefficients(f1)
-        combo = a * P1.values + b * Q1.values
-        return {"linear_combination_constant":
-                bool(np.all(np.abs(combo - (a + b)) <= PROP_TOL * (1 + a + b)))}
+        return {"linear_combination_constant": _equal(a + b, a * P1.values + b * Q1.values)}
     return None
 
 
@@ -313,7 +309,11 @@ def corollary_bound_check(
     else:
         slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
     v = _verdict(_power(slots.value(w), n), bound, row.range.relation)
-    if v.equality:
-        diagnose = _reference_diagnosis if row.reference else _pair_diagnosis
-        v = replace(v, diagnosis=diagnose(f1, f2, P1, Q1, P2, Q2, s))
+    if v.equality and not (row.reference and i == 0):  # the reference bound is exact at i = 0
+        if i in (0, n):  # Jensen's bound on the pair whose exponent is 1
+            diagnosis = _jensen_diagnosis(f1, P1, Q1) if i == n else _jensen_diagnosis(f2, P2, Q2)
+        else:
+            diagnose = _reference_diagnosis if row.reference else _pair_diagnosis
+            diagnosis = diagnose(f1, f2, P1, Q1, P2, Q2, s)
+        v = replace(v, diagnosis=diagnosis)
     return v

@@ -218,8 +218,20 @@ def test_concave_chain_linear_diagnosis(rng):
     P = DensityBundle(space, (p, p))
     Q = DensityBundle(space, (q, q))
     left, right = concave_chain_check(fv, P, Q)
-    assert right.diagnosis == {"convex_combinations_equal": True}
-    assert right.equality
+    assert left.diagnosis == {"convex_combinations_equal": True}
+    assert left.equality
+
+
+def test_concave_chain_linear_diagnosis_sits_on_the_hoelder_step():
+    # for linear f_i, D_{f_i} = a_i + b_i = f_i(1), so the right step is always
+    # tight and says nothing about the convex combinations
+    space = make_space([0.25, 0.25, 0.5])
+    p, q = Density([0.8, 1.2, 1.0]), Density([1.6, 1.6, 0.4])
+    fv = FVector([make_builtin("linear", a=1.0, b=2.0), make_builtin("linear", a=2.0, b=0.5)])
+    left, right = concave_chain_check(fv, DensityBundle(space, (p, q)),
+                                      DensityBundle(space, (q, p)))
+    assert right.equality and right.diagnosis is None
+    assert not left.equality and left.diagnosis is None
 
 
 def test_concave_chain_rejects_convex(counting2):
@@ -433,12 +445,12 @@ def test_falsify_describes_only_the_witness(monkeypatch, inequality):
     make_builtin("linear", a=1.0, b=0.0),
 ])
 def test_reference_diagnosis_reads_a_linear_f1_through_its_limits(f1):
-    # f1(t) = a t with a > 0, and a P1 + 0 Q1 is not constant
-    P1, Q1 = Density([0.8, 1.2, 1.0]), Density([1.6, 1.6, 0.4])
+    # f1(t) = a t with a > 0, and a P1 + 0 Q1 = a = a + b is constant
+    P1, Q1 = Density([1.0, 1.0, 1.0]), Density([1.6, 1.6, 0.4])
     v = corollary_bound_check("reference_concave", f1, make_builtin("power", alpha=0.5),
-                              P1, Q1, 2.0, 2, make_space([0.25, 0.25, 0.5]))
+                              P1, Q1, 1.0, 2, make_space([0.25, 0.25, 0.5]))
     assert v.equality
-    assert v.diagnosis == {"linear_combination_constant": False}
+    assert v.diagnosis == {"linear_combination_constant": True}
 
 
 
@@ -456,3 +468,32 @@ def test_pair_diagnosis_of_linear_generators_is_hoelder_equality(f2):
                               make_space([0.25, 0.25, 0.5]), P2=P1, Q2=Q1)
     assert v.equality
     assert v.diagnosis == {"linear_combinations_proportional": True}
+
+
+# -- endpoint corollaries are Jensen's bound on one pair -----------------------
+
+
+ENDPOINT_SPACE = make_space([0.25, 0.25, 0.5])
+ENDPOINT_P, ENDPOINT_Q = Density([0.8, 1.2, 1.0]), Density([1.6, 1.6, 0.4])
+SQRT = make_builtin("power", alpha=0.5)
+
+
+@pytest.mark.parametrize("i, pairs", [
+    (3, (ENDPOINT_P, ENDPOINT_P, ENDPOINT_P, ENDPOINT_Q)),  # (P1, Q1) at exponent 1
+    (0, (ENDPOINT_P, ENDPOINT_Q, ENDPOINT_P, ENDPOINT_P)),  # (P2, Q2) at exponent 1
+])
+def test_pair_corollary_at_an_endpoint_reports_jensens_diagnosis(i, pairs):
+    P1, Q1, P2, Q2 = pairs
+    v = corollary_bound_check("concave_band", SQRT, SQRT, P1, Q1, i, 3, ENDPOINT_SPACE,
+                              P2=P2, Q2=Q2)
+    assert v.equality
+    assert v.diagnosis == {"densities_equal": True}
+
+
+@pytest.mark.parametrize("i, diagnosis", [(2, {"densities_equal": True}), (0, None)])
+def test_reference_corollary_at_an_endpoint(i, diagnosis):
+    # at i = n the bound is Jensen's on (P1, Q1); at i = 0 it is exact
+    v = corollary_bound_check("reference_concave", SQRT, SQRT, ENDPOINT_P, ENDPOINT_P, i, 2,
+                              ENDPOINT_SPACE)
+    assert v.equality
+    assert v.diagnosis == diagnosis

@@ -79,21 +79,23 @@ def test_verify_concave_chain_with_a_zero_linear_generator_warns_nothing(tmp_pat
          "--spec", str(path)],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    right = json.loads(proc.stdout)["results"][1]
-    assert right["diagnosis"] == {"convex_combinations_equal": True}
+    left = json.loads(proc.stdout)["results"][0]
+    assert left["diagnosis"] == {"convex_combinations_equal": True}
 
 
 @pytest.mark.parametrize("second, equal", [
     (make_builtin("power", alpha=1.0), True),  # t, as linear(1, 0)
     (make_builtin("power", alpha=0.0), False),  # 1, as linear(0, 1)
-    (make_builtin("linear", a=0.0, b=0.0), True),  # zero: left out
+    (make_builtin("linear", a=0.0, b=0.0), True),  # zero: both sides 0
 ])
 def test_concave_chain_reads_each_linear_generator_as_a_t_plus_b(second, equal):
     p, q = Density([0.8, 1.2, 1.0]), Density([1.6, 1.6, 0.4])
     fv = FVector([make_builtin("linear", a=1.0, b=0.0), second])
     P, Q = DensityBundle(SPACE, (p, p)), DensityBundle(SPACE, (q, q))
-    _, right = concave_chain_check(fv, P, Q)
-    assert right.diagnosis == {"convex_combinations_equal": equal}
+    left, _ = concave_chain_check(fv, P, Q)
+    # the Hoelder step is diagnosed only at equality, which p != q breaks
+    assert left.equality == equal
+    assert left.diagnosis == ({"convex_combinations_equal": True} if equal else None)
 
 
 @pytest.mark.parametrize("command, flag", [

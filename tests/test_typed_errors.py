@@ -118,6 +118,15 @@ def test_af_check_power_overflow_raises():
         af_check(fv, P, Q, 2)
 
 
+def test_corollary_bound_overflow_raises_at_the_verdict():
+    # each w_i is finite and their mixed product is 0, but f1(1) f2(1) = 1e600
+    s, f = make_space([0.5, 0.5]), make_builtin("linear", a=1e300, b=0.0)
+    one = Density([1.0, 1.0])
+    with pytest.raises(NonFiniteValue, match="rhs=inf"):
+        corollary_bound_check("concave_band", f, f, Density([2.0, 0.0]), one, 1, 2, s,
+                              P2=Density([0.0, 2.0]), Q2=one)
+
+
 # -- f(1) = 0 against a negative exponent -----------------------------------
 
 

@@ -1,15 +1,15 @@
 """Inequality checks for the mixed-divergence functionals.
 
 Each check returns an InequalityVerdict with both sides, the signed slack
-(nonnegative means satisfied), and an equality flag with an optional
-effective-proportionality diagnosis. A seeded random falsifier drives all
-checks over random instances.
+(nonnegative means satisfied), an equality flag and, only at equality, a known
+equality-case diagnosis; every Hoelder step reads proportionality of the
+integrands it bounds. A seeded random falsifier drives all checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -42,18 +42,20 @@ class InequalityVerdict:
     diagnosis: Optional[dict] = None
 
 
-def _verdict(lhs: float, rhs: float, relation: str, diagnosis=None) -> InequalityVerdict:
+def _verdict(lhs: float, rhs: float, relation: str, diagnose=None) -> InequalityVerdict:
+    """diagnose() -> the diagnosis, called only when the verdict is at equality."""
     slack = (rhs - lhs) if relation == "le" else (lhs - rhs)
     if not all(math.isfinite(x) for x in (lhs, rhs, slack)):
         raise NonFiniteValue(f"verdict sides are not finite: lhs={lhs!r}, rhs={rhs!r}")
     scale = 1.0 + abs(rhs)
+    equality = abs(slack) <= TOL_EQ * scale
     return InequalityVerdict(
         lhs=lhs,
         rhs=rhs,
         slack=slack,
         satisfied=slack >= -TOL_INEQ * scale,
-        equality=abs(slack) <= TOL_EQ * scale,
-        diagnosis=diagnosis,
+        equality=equality,
+        diagnosis=diagnose() if equality and diagnose is not None else None,
     )
 
 
@@ -75,6 +77,14 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     return {"proportional": ok, "ratio": ratio if ok else None}
 
 
+def _proportional(integrands: tuple | list, s: MeasureSpace) -> bool:
+    """Hoelder's inequality is tight iff one of the integrands it bounds is null
+    or every two are effectively proportional."""
+    return any(np.all(np.abs(h) <= PROP_TOL) for h in integrands) or all(
+        effective_proportionality(g, h, s)["proportional"]
+        for j, g in enumerate(integrands) for h in integrands[j + 1:])
+
+
 def _equal(*arrays) -> bool:
     """Does each array equal the first within PROP_TOL (1 + |first|) atom by atom?"""
     return all(np.all(np.abs(a - arrays[0]) <= PROP_TOL * (1 + np.abs(arrays[0])))
@@ -92,23 +102,15 @@ class FactorDecomposition:
         return math.prod(self.g, start=self.g0.copy())
 
 
-def _decompose(slots: _Slots, m: int) -> FactorDecomposition:
-    n, e = slots.n, 1.0 / slots.n
-    return FactorDecomposition(g0=slots.power((i, e) for i in range(n - m)),
-                               g=tuple(slots.power([(i, e)]) for i in range(n - m, n)))
-
-
 def factor_decomposition(
     fv: FVector, P: DensityBundle, Q: DensityBundle, m: int
 ) -> FactorDecomposition:
     if not (0 <= m <= len(fv)):
         raise RangeMismatch(f"m must be in 0..{len(fv)}")
-    return _decompose(_mixed_slots(fv, P, Q), m)
-
-
-def _linear_coefficients(f: FFunction) -> tuple[float, float]:
-    """(a, b) of a linear generator f(t) = a t + b: a = f'(inf), b = f(0+)."""
-    return f.slope_at_infinity, f.limit_at_zero
+    slots = _mixed_slots(fv, P, Q)
+    n, e = slots.n, 1.0 / slots.n
+    return FactorDecomposition(g0=slots.power((i, e) for i in range(n - m)),
+                               g=tuple(slots.power([(i, e)]) for i in range(n - m, n)))
 
 
 def _check_tags_uniform(fv: FVector) -> None:
@@ -123,28 +125,18 @@ def af_check(
     fv: FVector, P: DensityBundle, Q: DensityBundle, m: int
 ) -> InequalityVerdict:
     """Alexandrov-Fenchel type bound: D^m <= prod over the m substituted
-    mixed divergences obtained by repeating the k-th tail slot."""
+    mixed divergences obtained by repeating the k-th tail slot (Hoelder's
+    inequality on the m substituted integrands)."""
     n = len(fv)
     if not (1 <= m <= n):
         raise RangeMismatch(f"m must be in 1..{n}")
     _check_tags_uniform(fv)
     slots = _mixed_slots(fv, P, Q)
     lhs = _power(slots.value(slots.product()), m)
-    head = list(range(n - m))
-    rhs = math.prod(slots.value(slots.product(head + [k] * m)) for k in range(n - m, n))
-    v = _verdict(lhs, rhs, "le")
-    if v.equality:
-        dec = _decompose(slots, m)
-        root = dec.g0 ** (1.0 / m)
-        hs = [root * gj for gj in dec.g]
-        pairwise = all(
-            effective_proportionality(hs[i], hs[j], P.space)["proportional"]
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
-        null = any(np.all(np.abs(h) <= PROP_TOL) for h in hs)
-        v = replace(v, diagnosis={"effectively_proportional": bool(pairwise or null or m == 1)})
-    return v
+    tails = [list(range(n - m)) + [k] * m for k in range(n - m, n)]
+    rhs = math.prod(slots.value(slots.product(idx)) for idx in tails)
+    return _verdict(lhs, rhs, "le", lambda: {"effectively_proportional": _proportional(
+        [slots.product(idx) for idx in tails], P.space)})
 
 
 def jensen_bound_check(
@@ -153,7 +145,8 @@ def jensen_bound_check(
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
     relation = "ge" if f.is_convex else "le"
-    return _verdict(slots.value(slots.w[0]), f.value_at_one, relation, _jensen_diagnosis(f, p, q))
+    return _verdict(slots.value(slots.w[0]), f.value_at_one, relation,
+                    lambda: _jensen_diagnosis(f, p, q))
 
 
 def _jensen_diagnosis(f, p, q) -> Optional[dict]:
@@ -164,7 +157,8 @@ def _jensen_diagnosis(f, p, q) -> Optional[dict]:
 def concave_chain_check(
     fv: FVector, P: DensityBundle, Q: DensityBundle
 ) -> tuple[InequalityVerdict, InequalityVerdict]:
-    """D^n <= prod_i D_{f_i}(P_i, Q_i) <= prod_i f_i(1) for concave f_i."""
+    """D^n <= prod_i D_{f_i}(P_i, Q_i) <= prod_i f_i(1) for concave f_i; the
+    left step is Hoelder's inequality on the slots' integrands."""
     n = len(fv)
     for f in fv:
         if not f.is_concave:
@@ -173,16 +167,9 @@ def concave_chain_check(
     d_mixed = slots.value(slots.product())
     prod_classical = math.prod(slots.value(w) for w in slots.w)
     prod_ones = math.prod(f.value_at_one for f in fv)
-    left = _verdict(_power(d_mixed, n), prod_classical, "le")
-    right = _verdict(prod_classical, prod_ones, "le")
-    if left.equality and all(f.convexity_tag == LINEAR for f in fv):
-        # Hoelder's step is tight iff the convex combinations are equal, or a
-        # zero f (with no convex combination) makes both sides 0
-        combos = [(a * p.values + b * q.values) / (a + b)
-                  for (a, b), p, q in zip(map(_linear_coefficients, fv), P, Q) if a + b > 0]
-        equal = len(combos) < n or _equal(*combos)
-        left = replace(left, diagnosis={"convex_combinations_equal": equal})
-    return left, right
+    left = _verdict(_power(d_mixed, n), prod_classical, "le",
+                    lambda: {"effectively_proportional": _proportional(slots.w, P.space)})
+    return left, _verdict(prod_classical, prod_ones, "le")
 
 
 def interpolation_check(
@@ -208,10 +195,7 @@ def interpolation_check(
         return _verdict(d_i, d_i, "le")
     d_j, d_k = (slots.value(slots.ith(x, n)) for x in (j, k))
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
-    v = _verdict(d_i, rhs, "le")
-    if v.equality:
-        v = replace(v, diagnosis=effective_proportionality(*slots.w, s))
-    return v
+    return _verdict(d_i, rhs, "le", lambda: effective_proportionality(*slots.w, s))
 
 
 class _Range(NamedTuple):
@@ -253,25 +237,24 @@ _COROLLARIES = {
 }
 
 
-def _pair_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
+def _pair_diagnosis(f1, f2, P1, Q1, P2, Q2, slots) -> Optional[dict]:
     """Equality for i other than 0 and n: strict generators need every
-    density equal; for linear ones the bound is Hoelder's, tight iff
-    a1 p1 + b1 q1 and a2 p2 + b2 q2 are proportional."""
+    density equal; for linear ones the bound is Hoelder's on the two slots'
+    integrands a1 p1 + b1 q1 and a2 p2 + b2 q2."""
     if f1.convexity_tag == f2.convexity_tag == LINEAR:
-        (a1, b1), (a2, b2) = map(_linear_coefficients, (f1, f2))
-        return {"linear_combinations_proportional": effective_proportionality(
-            a1 * P1.values + b1 * Q1.values, a2 * P2.values + b2 * Q2.values, s)["proportional"]}
+        return {"linear_combinations_proportional": _proportional(slots.w, slots.space)}
     if not (f1.is_strict and f2.is_strict):
         return None
     return {"all_densities_equal": _equal(P1.values, Q1.values, P2.values, Q2.values)}
 
 
-def _reference_diagnosis(f1, f2, P1, Q1, P2, Q2, s) -> Optional[dict]:
+def _reference_diagnosis(f1, f2, P1, Q1, P2, Q2, slots) -> Optional[dict]:
+    """As `_pair_diagnosis`, with mu's unit density as the second pair."""
     if f1.is_strict:
         return {"pair_equals_reference": _equal(1.0, P1.values, Q1.values)}
     if f1.convexity_tag == LINEAR:
-        a, b = _linear_coefficients(f1)
-        return {"linear_combination_constant": _equal(a + b, a * P1.values + b * Q1.values)}
+        unit = np.ones(slots.space.size)
+        return {"linear_combination_constant": _proportional((slots.w[0], unit), slots.space)}
     return None
 
 
@@ -308,12 +291,12 @@ def corollary_bound_check(
         slots, w = _ith_reference(f1, P1, Q1, i, f2, s, n)
     else:
         slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
-    v = _verdict(_power(slots.value(w), n), bound, row.range.relation)
-    if v.equality and not (row.reference and i == 0):  # the reference bound is exact at i = 0
+
+    def diagnose():
+        if row.reference and i == 0:  # the reference bound is exact at i = 0
+            return None
         if i in (0, n):  # Jensen's bound on the pair whose exponent is 1
-            diagnosis = _jensen_diagnosis(f1, P1, Q1) if i == n else _jensen_diagnosis(f2, P2, Q2)
-        else:
-            diagnose = _reference_diagnosis if row.reference else _pair_diagnosis
-            diagnosis = diagnose(f1, f2, P1, Q1, P2, Q2, s)
-        v = replace(v, diagnosis=diagnosis)
-    return v
+            return _jensen_diagnosis(f1, P1, Q1) if i == n else _jensen_diagnosis(f2, P2, Q2)
+        by = _reference_diagnosis if row.reference else _pair_diagnosis
+        return by(f1, f2, P1, Q1, P2, Q2, slots)
+    return _verdict(_power(slots.value(w), n), bound, row.range.relation, diagnose)

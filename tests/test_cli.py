@@ -1,9 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from mixdiv.cli import main
+from mixdiv.cli import _VERIFY, main
 
 
 def _write(tmp_path, name, payload):
@@ -162,3 +164,27 @@ def test_tolerance_override_spec_wins(tmp_path, capsys):
     })
     # mass 1 + 1e-7: the default tolerance 1e-12 would reject it, the spec's 1e-3 accepts it
     assert main(["compute", "--spec", spec]) == 0
+
+
+README_SPECS = re.findall(r"```json\n(.*?)```",
+                          (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+                          re.S)
+
+
+def _readme_command(spec):
+    """The subcommand a README spec is written for, read from its fields."""
+    if "bodies" in spec:
+        return "geometry"
+    first = spec["tasks"][0]
+    if "inequality" in first:
+        return "falsify"
+    return "verify" if first["type"] in _VERIFY else "compute"
+
+
+def test_every_readme_spec_runs(tmp_path, capsys):
+    assert README_SPECS
+    for block in README_SPECS:
+        spec = json.loads(block)
+        command = _readme_command(spec)
+        assert main([command, "--spec", _write(tmp_path, "spec.json", spec)]) == 0, command
+        capsys.readouterr()

@@ -24,6 +24,7 @@ from mixdiv import (
     make_space,
     mixed_f_divergence,
 )
+from mixdiv import inequalities
 from mixdiv.errors import (
     BadOrdering,
     LengthMismatch,
@@ -176,7 +177,7 @@ def test_jensen_strictly_convex_gap(counting2):
         Density([0.5, 0.5]), Density([0.25, 0.75]), counting2,
     )
     assert v.slack > 0 and not v.equality
-    assert v.diagnosis == {"densities_equal": False}
+    assert v.diagnosis is None  # diagnosed only at equality
     # oracle: 0.25*(2^2) + 0.75*(2/3)^2 = 1 + 1/3
     assert v.lhs == pytest.approx(4.0 / 3.0, rel=1e-14)
     assert v.rhs == 1.0
@@ -213,12 +214,12 @@ def test_concave_chain_random_strict(rng):
 def test_concave_chain_linear_diagnosis(rng):
     space = make_space(rng.uniform(0.2, 2.0, 4))
     p, q = random_prob(rng, space), random_prob(rng, space)
-    # same (a, b) and same pair everywhere: convex combinations match
+    # same (a, b) and same pair everywhere: the slots' integrands are equal
     fv = FVector([make_builtin("linear", a=1.0, b=2.0)] * 2)
     P = DensityBundle(space, (p, p))
     Q = DensityBundle(space, (q, q))
     left, right = concave_chain_check(fv, P, Q)
-    assert left.diagnosis == {"convex_combinations_equal": True}
+    assert left.diagnosis == {"effectively_proportional": True}
     assert left.equality
 
 
@@ -497,3 +498,61 @@ def test_reference_corollary_at_an_endpoint(i, diagnosis):
                               ENDPOINT_SPACE)
     assert v.equality
     assert v.diagnosis == diagnosis
+
+
+# -- the concave chain's Hoelder step ------------------------------------------
+
+
+def test_concave_chain_reads_proportional_linear_integrands_as_hoelder_equality():
+    # w_i = a_i p_i + b_i q_i = p and 2 p: proportional, so Hoelder's step is tight,
+    # though the convex combinations p and 2 p differ
+    linear = make_builtin("linear", a=1.0, b=0.0)
+    P = DensityBundle(ENDPOINT_SPACE, (ENDPOINT_P, Density(2.0 * ENDPOINT_P.values)))
+    Q = DensityBundle(ENDPOINT_SPACE, (ENDPOINT_Q, ENDPOINT_Q))
+    left, _ = concave_chain_check(FVector([linear, linear]), P, Q)
+    assert left.equality
+    assert left.diagnosis == {"effectively_proportional": True}
+
+
+def test_concave_chain_diagnoses_a_strict_generator_at_equality():
+    P = DensityBundle(ENDPOINT_SPACE, (ENDPOINT_P, ENDPOINT_P))
+    left, right = concave_chain_check(FVector([SQRT, SQRT]), P, P)
+    assert left.equality and left.diagnosis == {"effectively_proportional": True}
+    assert right.equality and right.diagnosis is None
+
+
+# -- a diagnosis exists only at equality ----------------------------------------
+
+
+def _bundles(*pairs):
+    return (DensityBundle(ENDPOINT_SPACE, tuple(p for p, _ in pairs)),
+            DensityBundle(ENDPOINT_SPACE, tuple(q for _, q in pairs)))
+
+
+_P, _Q = ENDPOINT_P, ENDPOINT_Q
+# each instance is strictly inside its bound: sqrt(p q) and p are not proportional
+OFF_EQUALITY = {
+    "af": lambda: [af_check(FVector([SQRT, SQRT]), *_bundles((_P, _Q), (_P, _P)), 2)],
+    "jensen": lambda: [jensen_bound_check(make_builtin("power", alpha=2.0), _P, _Q,
+                                          ENDPOINT_SPACE)],
+    "chain": lambda: concave_chain_check(FVector([SQRT, SQRT]), *_bundles((_P, _Q), (_P, _P))),
+    "interpolation": lambda: [interpolation_check(SQRT, SQRT, _P, _Q, _P, _P, 1.0, 0.0, 2.0, 2,
+                                                  ENDPOINT_SPACE)],
+    "corollary": lambda: [
+        corollary_bound_check("concave_band", SQRT, SQRT, _P, _Q, 1.0, 2, ENDPOINT_SPACE,
+                              P2=_P, Q2=_P),
+        corollary_bound_check("reference_concave", SQRT, SQRT, _P, _Q, 1.0, 2, ENDPOINT_SPACE),
+    ],
+}
+
+
+@pytest.mark.parametrize("check", sorted(OFF_EQUALITY))
+def test_a_diagnosis_is_formed_only_at_equality(monkeypatch, check):
+    def boom(*args, **kwargs):
+        raise AssertionError("a diagnosis was formed off equality")
+
+    for name in ("_proportional", "_equal", "effective_proportionality"):
+        monkeypatch.setattr(inequalities, name, boom)
+    for v in OFF_EQUALITY[check]():
+        assert v.satisfied and not v.equality
+        assert v.diagnosis is None

@@ -80,7 +80,7 @@ def test_verify_concave_chain_with_a_zero_linear_generator_warns_nothing(tmp_pat
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     left = json.loads(proc.stdout)["results"][0]
-    assert left["diagnosis"] == {"convex_combinations_equal": True}
+    assert left["diagnosis"] == {"effectively_proportional": True}
 
 
 @pytest.mark.parametrize("second, equal", [
@@ -95,7 +95,7 @@ def test_concave_chain_reads_each_linear_generator_as_a_t_plus_b(second, equal):
     left, _ = concave_chain_check(fv, P, Q)
     # the Hoelder step is diagnosed only at equality, which p != q breaks
     assert left.equality == equal
-    assert left.diagnosis == ({"convex_combinations_equal": True} if equal else None)
+    assert left.diagnosis == ({"effectively_proportional": True} if equal else None)
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -42,6 +43,11 @@ def _power(base: float, exponent: float) -> float:
         return base ** exponent
     except OverflowError as exc:
         raise NonFiniteValue(f"{base!r} ** {exponent!r} overflows") from exc
+
+
+def _count(x) -> bool:
+    """Is x an integer count: an Integral (numpy integers too), but not a bool?"""
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 class _Slots:
@@ -147,8 +153,8 @@ def mixed_k_form(
     fv: FVector, P: DensityBundle, Q: DensityBundle, k: int
 ) -> DivergenceReport:
     """First k slots use (f_i, p_i, q_i); the rest use (f_i*, q_i, p_i)."""
-    if not (0 <= k <= len(fv)):
-        raise IndexOutOfRange(f"k must be in 0..{len(fv)}, got {k}")
+    if not (_count(k) and 0 <= k <= len(fv)):
+        raise IndexOutOfRange(f"k must be an integer in 0..{len(fv)}, got {k!r}")
     slots = _mixed_slots(fv, P, Q, k)
     return slots.report(slots.product())
 
@@ -244,6 +250,7 @@ def named_divergence(
     if family == "mixed_renyi":
         if alpha is None:
             raise InvalidParameter("mixed_renyi needs alpha")
+        alpha = make_builtin("power", alpha=alpha).alpha  # a real, as any generator parameter
         if alpha == 1.0:
             raise RenyiUndefined("alpha = 1 is outside the Renyi family")
         hell = named_divergence("mixed_hellinger", P, Q, alphas=[alpha] * n)

@@ -11,11 +11,11 @@ report turns the minimum-slack instance into its witness once.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .divergences import _count
 from .errors import InvalidParameter, RangeMismatch
 from .ffunctions import FVector, make_builtin
 from .inequalities import (
@@ -38,7 +38,7 @@ MAX_TRIALS = 10**7
 
 def _integer(name, value) -> int:
     """An integral value (numpy integers too, bools not) as an int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _count(value):
         raise InvalidParameter(f"falsify needs an integer {name}, got {value!r}")
     return int(value)
 

@@ -1,9 +1,9 @@
 """Inequality checks for the mixed-divergence functionals.
 
 Each check returns an InequalityVerdict with both sides, the signed slack
-(nonnegative means satisfied), an equality flag and, only at equality, a known
-equality-case diagnosis; every Hoelder step reads proportionality of the
-integrands it bounds. A seeded random falsifier drives all checks.
+(nonnegative means satisfied), an equality flag and, only at equality, a
+diagnosis of whether each step of the bound's proof (Hoelder's, then Jensen's)
+is tight. A seeded random falsifier drives all checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     RangeMismatch,
     TagMismatch,
 )
-from .divergences import _ith, _ith_reference, _mixed_slots, _power, _Slots
+from .divergences import _count, _ith, _ith_reference, _mixed_slots, _power, _Slots
 from .ffunctions import LINEAR, FFunction, FVector
 from .measures import Density, DensityBundle, MeasureSpace
 
@@ -77,18 +77,34 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     return {"proportional": ok, "ratio": ratio if ok else None}
 
 
-def _proportional(integrands: tuple | list, s: MeasureSpace) -> bool:
-    """Hoelder's inequality is tight iff one of the integrands it bounds is null
-    or every two are effectively proportional."""
-    return any(np.all(np.abs(h) <= PROP_TOL) for h in integrands) or all(
-        effective_proportionality(g, h, s)["proportional"]
-        for j, g in enumerate(integrands) for h in integrands[j + 1:])
+def _equal(x, y) -> bool:
+    """Does y equal x within PROP_TOL (1 + |x|) atom by atom?"""
+    return bool(np.all(np.abs(y - x) <= PROP_TOL * (1 + np.abs(x))))
 
 
-def _equal(*arrays) -> bool:
-    """Does each array equal the first within PROP_TOL (1 + |first|) atom by atom?"""
-    return all(np.all(np.abs(a - arrays[0]) <= PROP_TOL * (1 + np.abs(arrays[0])))
-               for a in arrays[1:])
+def _tight(space: MeasureSpace, integrands, steps) -> Optional[dict]:
+    """Is each step of a bound's proof tight? `integrands` are those its
+    Hoelder step bounds (none when the proof has no such step); `steps` are
+    the (f, p, q) of its Jensen steps D_f(p, q) against f(1).
+
+    A null integrand makes every side vanish, so the bound is tight.
+    Otherwise Hoelder's step is tight iff every two integrands are
+    effectively proportional, and a Jensen step iff p = q for a strict f; it
+    always is for a linear f, which adds no key. None when a step's generator
+    is neither strict nor linear, or when no key is formed.
+    """
+    if not all(f.is_strict or f.convexity_tag == LINEAR for f, _, _ in steps):
+        return None
+    null = any(np.all(np.abs(h) <= PROP_TOL) for h in integrands)
+    strict = [(p, q) for f, p, q in steps if f.is_strict]
+    diagnosis = {}
+    if integrands:
+        diagnosis["effectively_proportional"] = null or all(
+            effective_proportionality(g, h, space)["proportional"]
+            for j, g in enumerate(integrands) for h in integrands[j + 1:])
+    if strict:
+        diagnosis["densities_equal"] = null or all(_equal(q.values, p.values) for p, q in strict)
+    return diagnosis or None
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +121,8 @@ class FactorDecomposition:
 def factor_decomposition(
     fv: FVector, P: DensityBundle, Q: DensityBundle, m: int
 ) -> FactorDecomposition:
-    if not (0 <= m <= len(fv)):
-        raise RangeMismatch(f"m must be in 0..{len(fv)}")
+    if not (_count(m) and 0 <= m <= len(fv)):
+        raise RangeMismatch(f"m must be an integer in 0..{len(fv)}, got {m!r}")
     slots = _mixed_slots(fv, P, Q)
     n, e = slots.n, 1.0 / slots.n
     return FactorDecomposition(g0=slots.power((i, e) for i in range(n - m)),
@@ -128,15 +144,15 @@ def af_check(
     mixed divergences obtained by repeating the k-th tail slot (Hoelder's
     inequality on the m substituted integrands)."""
     n = len(fv)
-    if not (1 <= m <= n):
-        raise RangeMismatch(f"m must be in 1..{n}")
+    if not (_count(m) and 1 <= m <= n):
+        raise RangeMismatch(f"m must be an integer in 1..{n}, got {m!r}")
     _check_tags_uniform(fv)
     slots = _mixed_slots(fv, P, Q)
     lhs = _power(slots.value(slots.product()), m)
     tails = [list(range(n - m)) + [k] * m for k in range(n - m, n)]
     rhs = math.prod(slots.value(slots.product(idx)) for idx in tails)
-    return _verdict(lhs, rhs, "le", lambda: {"effectively_proportional": _proportional(
-        [slots.product(idx) for idx in tails], P.space)})
+    return _verdict(lhs, rhs, "le",
+                    lambda: _tight(P.space, [slots.product(idx) for idx in tails], ()))
 
 
 def jensen_bound_check(
@@ -146,12 +162,7 @@ def jensen_bound_check(
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
     relation = "ge" if f.is_convex else "le"
     return _verdict(slots.value(slots.w[0]), f.value_at_one, relation,
-                    lambda: _jensen_diagnosis(f, p, q))
-
-
-def _jensen_diagnosis(f, p, q) -> Optional[dict]:
-    """Jensen's bound is tight for a strict f iff p = q."""
-    return {"densities_equal": _equal(q.values, p.values)} if f.is_strict else None
+                    lambda: _tight(s, (), [(f, p, q)]))
 
 
 def concave_chain_check(
@@ -167,8 +178,7 @@ def concave_chain_check(
     d_mixed = slots.value(slots.product())
     prod_classical = math.prod(slots.value(w) for w in slots.w)
     prod_ones = math.prod(f.value_at_one for f in fv)
-    left = _verdict(_power(d_mixed, n), prod_classical, "le",
-                    lambda: {"effectively_proportional": _proportional(slots.w, P.space)})
+    left = _verdict(_power(d_mixed, n), prod_classical, "le", lambda: _tight(P.space, slots.w, ()))
     return left, _verdict(prod_classical, prod_ones, "le")
 
 
@@ -195,7 +205,7 @@ def interpolation_check(
         return _verdict(d_i, d_i, "le")
     d_j, d_k = (slots.value(slots.ith(x, n)) for x in (j, k))
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
-    return _verdict(d_i, rhs, "le", lambda: effective_proportionality(*slots.w, s))
+    return _verdict(d_i, rhs, "le", lambda: _tight(s, slots.w, ()))
 
 
 class _Range(NamedTuple):
@@ -237,27 +247,6 @@ _COROLLARIES = {
 }
 
 
-def _pair_diagnosis(f1, f2, P1, Q1, P2, Q2, slots) -> Optional[dict]:
-    """Equality for i other than 0 and n: strict generators need every
-    density equal; for linear ones the bound is Hoelder's on the two slots'
-    integrands a1 p1 + b1 q1 and a2 p2 + b2 q2."""
-    if f1.convexity_tag == f2.convexity_tag == LINEAR:
-        return {"linear_combinations_proportional": _proportional(slots.w, slots.space)}
-    if not (f1.is_strict and f2.is_strict):
-        return None
-    return {"all_densities_equal": _equal(P1.values, Q1.values, P2.values, Q2.values)}
-
-
-def _reference_diagnosis(f1, f2, P1, Q1, P2, Q2, slots) -> Optional[dict]:
-    """As `_pair_diagnosis`, with mu's unit density as the second pair."""
-    if f1.is_strict:
-        return {"pair_equals_reference": _equal(1.0, P1.values, Q1.values)}
-    if f1.convexity_tag == LINEAR:
-        unit = np.ones(slots.space.size)
-        return {"linear_combination_constant": _proportional((slots.w[0], unit), slots.space)}
-    return None
-
-
 def corollary_bound_check(
     case: str,
     f1: FFunction,
@@ -293,10 +282,10 @@ def corollary_bound_check(
         slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
 
     def diagnose():
-        if row.reference and i == 0:  # the reference bound is exact at i = 0
-            return None
-        if i in (0, n):  # Jensen's bound on the pair whose exponent is 1
-            return _jensen_diagnosis(f1, P1, Q1) if i == n else _jensen_diagnosis(f2, P2, Q2)
-        by = _reference_diagnosis if row.reference else _pair_diagnosis
-        return by(f1, f2, P1, Q1, P2, Q2, slots)
+        """Hoelder's step on the two slots' integrands, with f2(1)*1 as a
+        reference case's second, none at i in {0, n}; then Jensen's on each
+        pair whose exponent is nonzero."""
+        second = np.full(s.size, f2.value_at_one) if row.reference else slots.w[1]
+        jensen = [(f1, P1, Q1)] * (i != 0) + [(f2, P2, Q2)] * (i != n and not row.reference)
+        return _tight(s, () if i in (0, n) else (slots.w[0], second), jensen)
     return _verdict(_power(slots.value(w), n), bound, row.range.relation, diagnose)

@@ -268,7 +268,7 @@ def test_interpolation_scaled_pair_equality(rng):
     f1 = make_builtin("scaled", lam=2.0, inner=f2)
     v = interpolation_check(f1, f2, p, q, p, q, 1.0, 0.0, 2.0, 2, space)
     assert v.equality
-    assert v.diagnosis is not None and v.diagnosis["proportional"]
+    assert v.diagnosis is not None and v.diagnosis["effectively_proportional"]
 
 
 def test_interpolation_random_holds(rng):
@@ -299,7 +299,7 @@ def test_concave_band_equality(rng):
     v = corollary_bound_check("concave_band", f, f, p, p, 1.2, 2, space, P2=p, Q2=p)
     assert v.equality
     assert v.rhs == pytest.approx(1.0)
-    assert v.diagnosis == {"all_densities_equal": True}
+    assert v.diagnosis == {"effectively_proportional": True, "densities_equal": True}
 
 
 def test_convex_concave_high_random(rng):
@@ -322,7 +322,7 @@ def test_reference_concave_equality(rng):
     f2 = make_builtin("power", alpha=2.0)
     v = corollary_bound_check("reference_concave", f1, f2, unit, unit, 1.0, 2, space)
     assert v.equality
-    assert v.diagnosis == {"pair_equals_reference": True}
+    assert v.diagnosis == {"effectively_proportional": True, "densities_equal": True}
 
 
 def test_corollary_tag_mismatch(rng):
@@ -451,7 +451,7 @@ def test_reference_diagnosis_reads_a_linear_f1_through_its_limits(f1):
     v = corollary_bound_check("reference_concave", f1, make_builtin("power", alpha=0.5),
                               P1, Q1, 1.0, 2, make_space([0.25, 0.25, 0.5]))
     assert v.equality
-    assert v.diagnosis == {"linear_combination_constant": True}
+    assert v.diagnosis == {"effectively_proportional": True}
 
 
 
@@ -468,7 +468,7 @@ def test_pair_diagnosis_of_linear_generators_is_hoelder_equality(f2):
     v = corollary_bound_check("concave_band", f1, f2, P1, Q1, 1.5, 3,
                               make_space([0.25, 0.25, 0.5]), P2=P1, Q2=Q1)
     assert v.equality
-    assert v.diagnosis == {"linear_combinations_proportional": True}
+    assert v.diagnosis == {"effectively_proportional": True}
 
 
 # -- endpoint corollaries are Jensen's bound on one pair -----------------------
@@ -551,8 +551,75 @@ def test_a_diagnosis_is_formed_only_at_equality(monkeypatch, check):
     def boom(*args, **kwargs):
         raise AssertionError("a diagnosis was formed off equality")
 
-    for name in ("_proportional", "_equal", "effective_proportionality"):
+    for name in ("_tight", "_equal", "effective_proportionality"):
         monkeypatch.setattr(inequalities, name, boom)
     for v in OFF_EQUALITY[check]():
         assert v.satisfied and not v.equality
         assert v.diagnosis is None
+
+
+# -- every equality instance reads tight on every step of its proof ---------------
+
+
+SQUARE = make_builtin("power", alpha=2.0)
+UNIT = Density(np.ones(3))
+HOELDER, JENSEN = "effectively_proportional", "densities_equal"
+
+
+def _at(case, f1, f2, i, n=2, P1=_P, Q1=_P, P2=_P, Q2=_P):
+    """A corollary check; a reference case reads only (P1, Q1)."""
+    return lambda: corollary_bound_check(case, f1, f2, P1, Q1, i, n, ENDPOINT_SPACE,
+                                         P2=P2, Q2=Q2)
+
+
+LINEAR_12, TV = make_builtin("linear", a=1.0, b=2.0), make_builtin("tv")
+BOTH = {HOELDER, JENSEN}
+# id -> (a check at equality, the keys of its diagnosis, or None where the
+# proof has no step to diagnose); every key must read True
+EQUALITY = {
+    "af_identical_slots": (
+        lambda: af_check(FVector([SQRT, SQRT]), *_bundles((_P, _Q), (_P, _Q)), 2), {HOELDER}),
+    "chain_left_identical_slots": (
+        lambda: concave_chain_check(FVector([SQRT, SQRT]), *_bundles((_P, _Q), (_P, _Q)))[0],
+        {HOELDER}),
+    "jensen_strict_p_equals_q": (
+        lambda: jensen_bound_check(SQUARE, _P, _P, ENDPOINT_SPACE), {JENSEN}),
+    "interpolation_proportional_slots": (
+        lambda: interpolation_check(make_builtin("scaled", lam=2.0, inner=SQRT), SQRT,
+                                    _P, _Q, _P, _Q, 1.0, 0.0, 2.0, 2, ENDPOINT_SPACE),
+        {HOELDER}),
+    "concave_band_interior": (_at("concave_band", SQRT, SQRT, 1.0), BOTH),
+    "concave_band_i_0": (_at("concave_band", SQRT, SQRT, 0.0), {JENSEN}),
+    "concave_band_i_n": (_at("concave_band", SQRT, SQRT, 2.0), {JENSEN}),
+    "convex_concave_high_interior": (_at("convex_concave_high", SQUARE, SQRT, 3.0), BOTH),
+    "convex_concave_high_i_n": (_at("convex_concave_high", SQUARE, SQRT, 2.0), {JENSEN}),
+    "concave_convex_low_interior": (_at("concave_convex_low", SQRT, SQUARE, -1.0), BOTH),
+    "concave_convex_low_i_0": (_at("concave_convex_low", SQRT, SQUARE, 0.0), {JENSEN}),
+    # P1 = Q1 = mu's unit density
+    "reference_concave_interior": (
+        _at("reference_concave", SQRT, SQUARE, 1.0, P1=UNIT, Q1=UNIT), BOTH),
+    "reference_concave_i_0": (_at("reference_concave", SQRT, SQUARE, 0.0), None),
+    "reference_concave_i_n": (_at("reference_concave", SQRT, SQUARE, 2.0), {JENSEN}),
+    "reference_convex_high_interior": (
+        _at("reference_convex_high", SQUARE, SQRT, 3.0, P1=UNIT, Q1=UNIT), BOTH),
+    "reference_convex_high_i_n": (_at("reference_convex_high", SQUARE, SQRT, 2.0), {JENSEN}),
+    "reference_concave_low_interior": (
+        _at("reference_concave_low", SQRT, SQUARE, -1.0, P1=UNIT, Q1=UNIT), BOTH),
+    "reference_concave_low_i_0": (_at("reference_concave_low", SQRT, SQUARE, 0.0), None),
+    # w2 = 3 p is proportional to w1 = p, and Jensen's step on a linear pair is exact
+    "strict_f1_linear_f2": (_at("concave_band", SQRT, LINEAR_12, 1.5, n=3), BOTH),
+    # w2 = 0: both sides vanish, though P1 != Q1
+    "null_linear_slot": (_at("concave_band", SQRT, make_builtin("linear", a=0.0, b=0.0), 1.0,
+                             Q1=_Q, Q2=_Q), BOTH),
+    # f2(1) = 0, so the second integrand f2(1)*1 is null and both sides are 0
+    "reference_concave_tv_strict_f1": (_at("reference_concave", SQRT, TV, 1.0, Q1=_Q), BOTH),
+    "reference_concave_tv_linear_f1": (
+        _at("reference_concave", LINEAR_12, TV, 1.0, Q1=_Q), {HOELDER}),
+}
+
+
+@pytest.mark.parametrize("check, keys", EQUALITY.values(), ids=EQUALITY.keys())
+def test_every_step_of_an_equality_instance_reads_tight(check, keys):
+    v = check()
+    assert v.equality
+    assert v.diagnosis == (None if keys is None else dict.fromkeys(keys, True))

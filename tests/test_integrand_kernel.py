@@ -132,4 +132,4 @@ def test_reference_concave_linear_diagnosis(d):
     f2 = make_builtin("power", alpha=0.5)
     v = corollary_bound_check("reference_concave", f1, f2, P1, Q1, 1.0, 2, space)
     assert v.equality
-    assert v.diagnosis == {"linear_combination_constant": True}
+    assert v.diagnosis == {"effectively_proportional": True}

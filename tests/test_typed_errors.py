@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixdiv import (
@@ -20,6 +21,7 @@ from mixdiv import (
     apply_linear_map,
     corollary_bound_check,
     ellipse,
+    factor_decomposition,
     falsify,
     from_spec,
     interpolation_check,
@@ -29,6 +31,7 @@ from mixdiv import (
     make_bundle,
     make_space,
     mixed_body_divergence,
+    mixed_k_form,
     named_divergence,
     probability_density,
 )
@@ -387,6 +390,8 @@ def test_falsify_cli_above_a_bound_exits_2_before_any_trial(tmp_path, capsys, mo
 HALVES = make_space([0.5, 0.5])
 P_HALF, Q_HALF = Density([0.8, 1.2]), Density([1.5, 0.5])
 ROOT = make_builtin("power", alpha=0.5)
+ROOTS = FVector([ROOT, ROOT])
+P_PAIR, Q_PAIR = DensityBundle(HALVES, (P_HALF, Q_HALF)), DensityBundle(HALVES, (Q_HALF, P_HALF))
 
 TYPED_RAISES = {
     # ill-typed names and configs, refused where they enter
@@ -409,6 +414,18 @@ TYPED_RAISES = {
     "generator_spec_string": (lambda: from_spec("tv"), InvalidParameter),
     "af_check_m_zero": (lambda: af_check(FVector([ROOT]), DensityBundle(HALVES, (P_HALF,)),
                                          DensityBundle(HALVES, (Q_HALF,)), 0), RangeMismatch),
+    # counts that are not integers, refused before any slot is evaluated
+    "af_check_m_non_integer": (lambda: af_check(ROOTS, P_PAIR, Q_PAIR, 1.5), RangeMismatch),
+    "factor_decomposition_m_float": (lambda: factor_decomposition(ROOTS, P_PAIR, Q_PAIR, 2.0),
+                                     RangeMismatch),
+    "mixed_k_form_k_non_integer": (lambda: mixed_k_form(ROOTS, P_PAIR, Q_PAIR, 1.5),
+                                   IndexOutOfRange),
+    "mixed_k_form_k_bool": (lambda: mixed_k_form(ROOTS, P_PAIR, Q_PAIR, True), IndexOutOfRange),
+    # a bool is not a Renyi order, though True == 1
+    "renyi_alpha_bool": (lambda: named_divergence("mixed_renyi", P_PAIR, Q_PAIR, alpha=True),
+                         InvalidParameter),
+    "renyi_alpha_numpy_bool": (lambda: named_divergence("mixed_renyi", P_PAIR, Q_PAIR,
+                                                        alpha=np.True_), InvalidParameter),
     "unknown_corollary_case": (lambda: corollary_bound_check(
         "nope", ROOT, ROOT, P_HALF, Q_HALF, 1.0, 2, HALVES), RangeMismatch),
     "concave_band_without_second_pair": (lambda: corollary_bound_check(

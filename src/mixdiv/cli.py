@@ -213,30 +213,22 @@ _COMPUTE = {
 }
 
 
-def _corollary(r):
-    pair = {"P2": r.ref("p2"), "Q2": r.ref("q2")} if "p2" in r.data else {}
-    return r.verdicts(inequalities.corollary_bound_check(
-        r.get("case", _STR), r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"),
-        r.get("i", _real), r.get("n", _int), r.space, **pair,
-    ))
-
-
-_VERIFY = {
-    "af": lambda r: r.verdicts(inequalities.af_check(
-        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("m", _int),
-    )),
-    "jensen": lambda r: r.verdicts(inequalities.jensen_bound_check(
-        r.f("f"), r.ref("p"), r.ref("q"), r.space,
-    )),
-    "concave_chain": lambda r: r.verdicts(*inequalities.concave_chain_check(
-        r.fs("fs"), r.bundle("ps"), r.bundle("qs"),
-    )),
-    "interpolation": lambda r: r.verdicts(inequalities.interpolation_check(
-        r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
-        r.get("i", _real), r.get("j", _real), r.get("k", _real), r.get("n", _int), r.space,
-    )),
-    "corollary": _corollary,
+# a verify field's kind -> its typed read; _verify reads the fields its _CHECKS row names
+_READ = {
+    "generator": _Task.f, "generators": _Task.fs, "density": _Task.ref, "densities": _Task.bundle,
+    "real": lambda r, key: r.get(key, _real), "int": lambda r, key: r.get(key, _int),
+    "str": lambda r, key: r.get(key, _STR), "space": lambda r, key: r.space,
 }
+
+
+def _verify(r):
+    row = inequalities._CHECKS[r.type]
+    left_out = () if r.data.keys() & set(row.optional) else row.optional
+    return r.verdicts(*row.verdicts(r.space, {
+        key: _READ[kind](r, key) for key, kind in row.fields.items() if key not in left_out}))
+
+
+_VERIFY = dict.fromkeys(inequalities._CHECKS, _verify)
 
 
 def run_compute(spec, emit_integrand=False):

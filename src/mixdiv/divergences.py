@@ -47,7 +47,7 @@ def _power(base: float, exponent: float) -> float:
 
 def _count(x) -> bool:
     """Is x an integer count: an Integral (numpy integers too), but not a bool?"""
-    return isinstance(x, Integral) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
 class _Slots:
@@ -177,8 +177,8 @@ def ith_mixed(
 
 def _ith(f1, f2, P1, Q1, P2, Q2, i, n, s) -> tuple[_Slots, np.ndarray]:
     """The two pairs' slots and their i-th mixed integrand."""
-    if n < 1:
-        raise IndexOutOfRange("n must be >= 1")
+    if not (_count(n) and n >= 1):
+        raise IndexOutOfRange(f"n must be an integer >= 1, got {n!r}")
     slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
     return slots, slots.ith(i, n)
 
@@ -202,8 +202,8 @@ def ith_mixed_reference(
 
 def _ith_reference(f1, P1, Q1, i, f2, s, n) -> tuple[_Slots, np.ndarray]:
     """The pair's slot and the reference-form integrand."""
-    if n < 1:
-        raise IndexOutOfRange("n must be >= 1")
+    if not (_count(n) and n >= 1):
+        raise IndexOutOfRange(f"n must be an integer >= 1, got {n!r}")
     if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
         raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
     slots = _Slots.evaluate([(f1, P1.values, Q1.values)], s)

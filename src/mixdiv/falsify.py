@@ -4,8 +4,9 @@ Each call draws from one Philox stream keyed from SeedSequence(seed), in which
 trial t owns the counter origin (t + 1) * 2**128: its scalar row is the first
 doubles there, and its arrays follow. A trial's instance depends only on
 (seed, t, config), so the report is the same for every evaluation order. A
-trial only draws and checks: it returns its verdicts and its instance, and the
-report turns the minimum-slack instance into its witness once.
+trial only draws: it returns its space and the verify task it drew, objects
+in its fields; the task's row in `_CHECKS` checks it, and the report turns
+the minimum-slack task into its witness, a verify spec, once.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ import numpy as np
 from .divergences import _count
 from .errors import InvalidParameter, RangeMismatch
 from .ffunctions import FVector, make_builtin
-from .inequalities import (
-    _COROLLARIES,
-    af_check,
-    concave_chain_check,
-    corollary_bound_check,
-    interpolation_check,
-    jensen_bound_check,
-)
+from .inequalities import _CHECKS, _COROLLARIES
 from .measures import Density, make_bundle, make_space
 
 
@@ -144,11 +138,11 @@ def _random_concave_f(rng):
     return _random_linear(rng)
 
 
-def _random_bundles(rng, space, n):
-    """Random bundles P and Q of n densities each, and their densities by name."""
+def _random_bundles(rng, space, n) -> dict:
+    """Random bundles P and Q of n densities each, as a task's ps and qs."""
     ds = _random_densities(rng, space, 2 * n)
-    P, Q = make_bundle(space, ds[:n], validate=False), make_bundle(space, ds[n:], validate=False)
-    return P, Q, {f"p{i}": P[i] for i in range(n)} | {f"q{i}": Q[i] for i in range(n)}
+    return {"ps": make_bundle(space, ds[:n], validate=False),
+            "qs": make_bundle(space, ds[n:], validate=False)}
 
 
 def _trial_af(rng, cfg):
@@ -157,23 +151,21 @@ def _trial_af(rng, cfg):
     space = _random_space(rng, cfg)
     draw = _random_concave_f if rng.random() < 0.5 else _random_convex_f
     fv = FVector(draw(rng) for _ in range(n))
-    P, Q, named = _random_bundles(rng, space, n)
-    return [af_check(fv, P, Q, m)], (space, named, fv, {"n": n, "m": m})
+    return space, {"type": "af", "fs": fv, "m": m, **_random_bundles(rng, space, n)}
 
 
 def _trial_jensen(rng, cfg):
     space = _random_space(rng, cfg)
     f = _random_concave_f(rng) if rng.random() < 0.5 else _random_convex_f(rng)
     p, q = _random_densities(rng, space, 2)
-    return [jensen_bound_check(f, p, q, space)], (space, {"p": p, "q": q}, [f], {})
+    return space, {"type": "jensen", "f": f, "p": p, "q": q}
 
 
 def _trial_concave_chain(rng, cfg):
     n = int(rng.integers(1, cfg.max_n + 1))
     space = _random_space(rng, cfg)
     fv = FVector(_random_concave_f(rng) for _ in range(n))
-    P, Q, named = _random_bundles(rng, space, n)
-    return concave_chain_check(fv, P, Q), (space, named, fv, {"n": n})
+    return space, {"type": "concave_chain", "fs": fv, **_random_bundles(rng, space, n)}
 
 
 def _positive_f(rng):
@@ -190,9 +182,8 @@ def _trial_interpolation(rng, cfg):
     j = float(rng.uniform(-2.0, n))
     k = float(rng.uniform(j + 0.1, n + 2.0))
     i = float(rng.uniform(j, k))
-    v = interpolation_check(f1, f2, p1, q1, p2, q2, i, j, k, n, space)
-    named = {"p1": p1, "q1": q1, "p2": p2, "q2": q2}
-    return [v], (space, named, [f1, f2], {"n": n, "i": i, "j": j, "k": k})
+    return space, {"type": "interpolation", "f1": f1, "f2": f2, "p1": p1, "q1": q1, "p2": p2,
+                   "q2": q2, "i": i, "j": j, "k": k, "n": n}
 
 
 # a corollary's tag rule -> the generator draw that meets it
@@ -207,14 +198,12 @@ def _trial_corollary(case, rng, cfg):
     row = _COROLLARIES[case]
     n = int(rng.integers(1, cfg.max_n + 1))
     space = _random_space(rng, cfg, probability=row.reference)
-    p1, q1, *second = _random_densities(rng, space, 2 if row.reference else 4)
-    pair = dict(zip(("P2", "Q2"), second))
+    densities = _random_densities(rng, space, 2 if row.reference else 4)
+    pairs = dict(zip(("p1", "q1", "p2", "q2"), densities))
     f1 = _DRAW_F[row.f1](rng)
     i = row.range.draw(rng, n)
     f2 = _DRAW_F[row.f2](rng)
-    v = corollary_bound_check(case, f1, f2, p1, q1, i, n, space, **pair)
-    named = {"p1": p1, "q1": q1} | {key.lower(): d for key, d in pair.items()}
-    return [v], (space, named, [f1, f2], {"n": n, "i": i, "case": case})
+    return space, {"type": "corollary", "case": case, "f1": f1, "f2": f2, "i": i, "n": n, **pairs}
 
 
 def _row_width(max_n):
@@ -236,14 +225,25 @@ _TRIALS = {
 INEQUALITY_IDS = tuple(_TRIALS)
 
 
-def _witness(space, named, generators, params) -> dict:
-    """The report's JSON form of one trial's instance."""
-    return {
-        "weights": [float(x) for x in space.weights],
-        "densities": {k: [float(x) for x in d.values] for k, d in named.items()},
-        "generators": [f.describe() for f in generators],
-        "params": params,
-    }
+def _witness(space, task) -> dict:
+    """The task as a complete verify spec: each generator as its spec, each
+    density named after its field (the members of ps as p0, p1, ...)."""
+    row, densities, spec = _CHECKS[task["type"]], {}, {"type": task["type"]}
+    for name, kind in row.fields.items():
+        x = task.get(name)
+        if x is None:  # the space, or an optional field left out
+            continue
+        if kind in ("density", "densities"):
+            named = {name: x} if kind == "density" else {
+                f"{name[:-1]}{j}": d for j, d in enumerate(x)}
+            densities |= named
+            x = name if kind == "density" else list(named)
+        elif kind in ("generator", "generators"):
+            x = x.describe() if kind == "generator" else [f.describe() for f in x]
+        spec[name] = x
+    return {"space": {"weights": [float(w) for w in space.weights]},
+            "densities": {k: [float(v) for v in d.values] for k, d in densities.items()},
+            "tasks": [spec]}
 
 
 def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = None) -> dict:
@@ -258,24 +258,21 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     cfg = FalsifyConfig() if config is None else config
     if not isinstance(cfg, FalsifyConfig):
         raise InvalidParameter(f"falsify needs a FalsifyConfig, got {config!r}")
-    run = _TRIALS[inequality_id]
-    violations = 0
-    min_slack = None
-    min_instance = None
+    violations, min_slack, min_task = 0, None, None
     for draws in _trial_draws(seed, trials, _row_width(cfg.max_n)):
-        verdicts, instance = run(draws, cfg)
-        for v in verdicts:
+        space, task = _TRIALS[inequality_id](draws, cfg)
+        for v in _CHECKS[task["type"]].verdicts(space, task):
             if not v.satisfied:
                 violations += 1
             rel = v.slack / (1.0 + abs(v.rhs))
             if min_slack is None or rel < min_slack:
                 min_slack = rel
-                min_instance = instance
+                min_task = space, task
     return {
         "inequality": inequality_id,
         "seed": seed,
         "trials": trials,
         "violations": violations,
         "min_slack": min_slack,
-        "witness": None if min_instance is None else _witness(*min_instance),
+        "witness": None if min_task is None else _witness(*min_task),
     }

@@ -137,9 +137,7 @@ def _check_tags_uniform(fv: FVector) -> None:
         raise MixedConvexityTags("generator vector mixes convex and concave entries")
 
 
-def af_check(
-    fv: FVector, P: DensityBundle, Q: DensityBundle, m: int
-) -> InequalityVerdict:
+def af_check(fv: FVector, P: DensityBundle, Q: DensityBundle, m: int) -> InequalityVerdict:
     """Alexandrov-Fenchel type bound: D^m <= prod over the m substituted
     mixed divergences obtained by repeating the k-th tail slot (Hoelder's
     inequality on the m substituted integrands)."""
@@ -155,9 +153,7 @@ def af_check(
                     lambda: _tight(P.space, [slots.product(idx) for idx in tails], ()))
 
 
-def jensen_bound_check(
-    f: FFunction, p: Density, q: Density, s: MeasureSpace
-) -> InequalityVerdict:
+def jensen_bound_check(f: FFunction, p: Density, q: Density, s: MeasureSpace) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
     relation = "ge" if f.is_convex else "le"
@@ -165,9 +161,8 @@ def jensen_bound_check(
                     lambda: _tight(s, (), [(f, p, q)]))
 
 
-def concave_chain_check(
-    fv: FVector, P: DensityBundle, Q: DensityBundle
-) -> tuple[InequalityVerdict, InequalityVerdict]:
+def concave_chain_check(fv: FVector, P: DensityBundle,
+                        Q: DensityBundle) -> tuple[InequalityVerdict, InequalityVerdict]:
     """D^n <= prod_i D_{f_i}(P_i, Q_i) <= prod_i f_i(1) for concave f_i; the
     left step is Hoelder's inequality on the slots' integrands."""
     n = len(fv)
@@ -182,19 +177,9 @@ def concave_chain_check(
     return left, _verdict(prod_classical, prod_ones, "le")
 
 
-def interpolation_check(
-    f1: FFunction,
-    f2: FFunction,
-    P1: Density,
-    Q1: Density,
-    P2: Density,
-    Q2: Density,
-    i: float,
-    j: float,
-    k: float,
-    n: int,
-    s: MeasureSpace,
-) -> InequalityVerdict:
+def interpolation_check(f1: FFunction, f2: FFunction, P1: Density, Q1: Density, P2: Density,
+                        Q2: Density, i: float, j: float, k: float, n: int,
+                        s: MeasureSpace) -> InequalityVerdict:
     """Log-convexity of i -> D(P, Q; i): D(i) <= D(j)^((k-i)/(k-j)) D(k)^((i-j)/(k-j))."""
     lo, hi = min(j, k), max(j, k)
     if not (lo <= i <= hi):
@@ -247,18 +232,9 @@ _COROLLARIES = {
 }
 
 
-def corollary_bound_check(
-    case: str,
-    f1: FFunction,
-    f2: FFunction,
-    P1: Density,
-    Q1: Density,
-    i: float,
-    n: int,
-    s: MeasureSpace,
-    P2: Optional[Density] = None,
-    Q2: Optional[Density] = None,
-) -> InequalityVerdict:
+def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, Q1: Density,
+                          i: float, n: int, s: MeasureSpace, P2: Optional[Density] = None,
+                          Q2: Optional[Density] = None) -> InequalityVerdict:
     """The six endpoint corollaries of the interpolation bound.
 
     Pair cases (concave_band, convex_concave_high, concave_convex_low)
@@ -289,3 +265,35 @@ def corollary_bound_check(
         jensen = [(f1, P1, Q1)] * (i != 0) + [(f2, P2, Q2)] * (i != n and not row.reference)
         return _tight(s, () if i in (0, n) else (slots.w[0], second), jensen)
     return _verdict(_power(slots.value(w), n), bound, row.range.relation, diagnose)
+
+
+class _Check(NamedTuple):
+    """A verify task type: its check and the task's fields in the check's
+    argument order, name -> kind: "generator", "generators", "density",
+    "densities", "real", "int", "str", or "space" (no field: the task's
+    space). The `optional` fields, last, are all given or none."""
+
+    check: Callable
+    fields: dict
+    optional: tuple = ()
+
+    def verdicts(self, space: MeasureSpace, task: dict) -> list:
+        """The check's verdicts on the task's objects by field; an absent field is None."""
+        out = self.check(*[space if kind == "space" else task.get(name)
+                           for name, kind in self.fields.items()])
+        return list(out) if isinstance(out, tuple) else [out]
+
+
+_BUNDLES = {"fs": "generators", "ps": "densities", "qs": "densities"}
+_F12 = {"f1": "generator", "f2": "generator"}
+_PAIR1, _PAIR2 = ({f"p{k}": "density", f"q{k}": "density"} for k in "12")
+_CHECKS = {
+    "af": _Check(af_check, _BUNDLES | {"m": "int"}),
+    "jensen": _Check(jensen_bound_check,
+                     {"f": "generator", "p": "density", "q": "density", "s": "space"}),
+    "concave_chain": _Check(concave_chain_check, _BUNDLES),
+    "interpolation": _Check(interpolation_check, _F12 | _PAIR1 | _PAIR2 | {
+        "i": "real", "j": "real", "k": "real", "n": "int", "s": "space"}),
+    "corollary": _Check(corollary_bound_check, {"case": "str"} | _F12 | _PAIR1 | {
+        "i": "real", "n": "int", "s": "space"} | _PAIR2, tuple(_PAIR2)),
+}

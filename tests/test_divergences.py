@@ -348,3 +348,32 @@ def test_kl_qp_zero_p_atom_contributes_zero():
     expected = math.sqrt(0.2 * math.log(3.0) * 0.25 * math.log(2.0))
     value = named_divergence("mixed_kl", P, Q, kl_orientation="qp").value
     assert value == pytest.approx(expected, rel=1e-15)
+
+
+# -- mixed Renyi as a classical Renyi divergence plus the geometric-mean masses
+
+
+def _geometric_mean(bundle) -> np.ndarray:
+    return np.prod([d.values for d in bundle], axis=0) ** (1.0 / len(bundle))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.5, 2.0, 3.0])
+def test_mixed_renyi_is_a_classical_renyi_plus_a_mass_term(alpha):
+    # With P = prod p_i^(1/n), a = int P and P^ = P / a (Q, b and Q^ alike), the
+    # mixed Hellinger integral is a^alpha b^(1-alpha) int P^^alpha Q^^(1-alpha), so
+    # mixed_renyi = R_alpha(P^ || Q^) + (alpha log a + (1 - alpha) log b) / (alpha - 1).
+    # The bound is relative, and absolute below 1: a value near 0 comes from the log
+    # of a Hellinger integral near 1, which keeps only its absolute accuracy.
+    rng = np.random.default_rng(1800)
+    power = make_builtin("power", alpha=alpha)
+    for _ in range(200):
+        n, atoms = int(rng.integers(1, 5)), int(rng.integers(2, 13))
+        space = make_space(rng.uniform(0.2, 2.0, atoms))
+        P, Q = (make_bundle(space, [random_prob(rng, space) for _ in range(n)]) for _ in "PQ")
+        p_bar, q_bar = _geometric_mean(P), _geometric_mean(Q)
+        a, b = space.integrate(p_bar), space.integrate(q_bar)
+        hellinger = classical_f_divergence(power, Density(p_bar / a), Density(q_bar / b), space)
+        classical = math.log(hellinger.value) / (alpha - 1.0)
+        mass = (alpha * math.log(a) + (1.0 - alpha) * math.log(b)) / (alpha - 1.0)
+        value = named_divergence("mixed_renyi", P, Q, alpha=alpha)
+        assert abs(value - (classical + mass)) <= 1e-12 * max(1.0, abs(value)), (n, atoms)

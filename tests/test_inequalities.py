@@ -432,8 +432,12 @@ def test_falsify_describes_only_the_witness(monkeypatch, inequality):
     describe = FFunction.describe
     monkeypatch.setattr(FFunction, "describe", lambda f: calls.append(f) or describe(f))
     report = falsify(inequality, 5, 40)
-    # the falsifier draws no nested generators, so each describes itself once
-    assert len(calls) == len(report["witness"]["generators"])
+    # the witness task holds each generator as its spec (a dict), alone or in a
+    # list; the falsifier draws no nested generators, so each describes itself once
+    task = report["witness"]["tasks"][0]
+    generators = [g for v in task.values() for g in (v if isinstance(v, list) else [v])
+                  if isinstance(g, dict)]
+    assert generators and len(calls) == len(generators)
     assert falsify(inequality, 5, 0)["witness"] is None
 
 

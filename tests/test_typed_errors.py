@@ -452,3 +452,24 @@ TYPED_RAISES = {
 def test_a_bad_input_raises_its_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+# n of the i-th mixed forms is a count, as m and k are: a bool, a fraction or 0 is refused
+N_CALLS = {
+    "ith_mixed": lambda n: ith_mixed(ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, 0.0, n, HALVES),
+    "ith_mixed_reference": lambda n: ith_mixed_reference(ROOT, P_HALF, Q_HALF, 0.0, ROOT,
+                                                         HALVES, n),
+    "interpolation_check": lambda n: interpolation_check(
+        ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, 0.5, 0.0, 1.0, n, HALVES),
+    "corollary_bound_check": lambda n: corollary_bound_check(
+        "concave_band", ROOT, ROOT, P_HALF, Q_HALF, 0.0, n, HALVES, Q_HALF, P_HALF),
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0])
+@pytest.mark.parametrize("call", N_CALLS.values(), ids=N_CALLS.keys())
+def test_a_non_count_n_raises_index_out_of_range(call, n):
+    with pytest.raises(IndexOutOfRange):
+        call(n)
+    call(2)
+    call(np.int64(2))

@@ -191,29 +191,7 @@ def _named(r):
     return entry | {"family": family}
 
 
-_COMPUTE = {
-    "classical": lambda r: r.report(divergences.classical_f_divergence(
-        r.f("f"), r.ref("p"), r.ref("q"), r.space,
-    )),
-    "mixed": lambda r: r.report(divergences.mixed_f_divergence(
-        r.fs("fs"), r.bundle("ps"), r.bundle("qs"),
-    )),
-    "k_form": lambda r: r.report(divergences.mixed_k_form(
-        r.fs("fs"), r.bundle("ps"), r.bundle("qs"), r.get("k", _int),
-    )),
-    "ith": lambda r: r.report(divergences.ith_mixed(
-        r.f("f1"), r.f("f2"), r.ref("p1"), r.ref("q1"), r.ref("p2"), r.ref("q2"),
-        r.get("i", _real), r.get("n", _int), r.space,
-    )),
-    "ith_reference": lambda r: r.report(divergences.ith_mixed_reference(
-        r.f("f1"), r.ref("p1"), r.ref("q1"), r.get("i", _real), r.f("f2"),
-        r.space, r.get("n", _int),
-    )),
-    "named": _named,
-}
-
-
-# a verify field's kind -> its typed read; _verify reads the fields its _CHECKS row names
+# a task field's kind -> its typed read; _results reads the fields its row names
 _READ = {
     "generator": _Task.f, "generators": _Task.fs, "density": _Task.ref, "densities": _Task.bundle,
     "real": lambda r, key: r.get(key, _real), "int": lambda r, key: r.get(key, _int),
@@ -221,14 +199,18 @@ _READ = {
 }
 
 
-def _verify(r):
-    row = inequalities._CHECKS[r.type]
+def _results(r, row) -> list:
+    """The row's function on the task's fields, each read by its kind in the
+    row's order; the optional ones only when the task gives any of them."""
     left_out = () if r.data.keys() & set(row.optional) else row.optional
-    return r.verdicts(*row.verdicts(r.space, {
-        key: _READ[kind](r, key) for key, kind in row.fields.items() if key not in left_out}))
+    return row.results(r.space, {
+        key: _READ[kind](r, key) for key, kind in row.fields.items() if key not in left_out})
 
 
-_VERIFY = dict.fromkeys(inequalities._CHECKS, _verify)
+_COMPUTE = dict.fromkeys(divergences._FUNCTIONALS, lambda r: r.report(
+    *_results(r, divergences._FUNCTIONALS[r.type]))) | {"named": _named}
+_VERIFY = dict.fromkeys(inequalities._CHECKS, lambda r: r.verdicts(
+    *_results(r, inequalities._CHECKS[r.type])))
 
 
 def run_compute(spec, emit_integrand=False):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     RenyiUndefined,
     SpaceMismatch,
 )
-from .ffunctions import FFunction, FVector, adjoint, make_builtin, weighted_terms
+from .ffunctions import FFunction, FVector, _as_real, adjoint, make_builtin, weighted_terms
 from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace
 
 
@@ -48,6 +49,14 @@ def _power(base: float, exponent: float) -> float:
 def _count(x) -> bool:
     """Is x an integer count: an Integral (numpy integers too), but not a bool?"""
     return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def _ith_params(i, n) -> float:
+    """i as a float, once n is checked: IndexOutOfRange unless n is a count
+    >= 1, then InvalidParameter unless i is a real (a bool is not one)."""
+    if not (_count(n) and n >= 1):
+        raise IndexOutOfRange(f"n must be an integer >= 1, got {n!r}")
+    return _as_real(i, "i")
 
 
 class _Slots:
@@ -133,25 +142,20 @@ def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf, te
     ), P.space, terms)
 
 
-def classical_f_divergence(
-    f: FFunction, p: Density, q: Density, s: MeasureSpace
-) -> DivergenceReport:
+def classical_f_divergence(f: FFunction, p: Density, q: Density,
+                           s: MeasureSpace) -> DivergenceReport:
     """D_f(P, Q) = sum_j f(p_j/q_j) q_j mu_j."""
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
     return slots.report(slots.w[0])
 
 
-def mixed_f_divergence(
-    fv: FVector, P: DensityBundle, Q: DensityBundle
-) -> DivergenceReport:
+def mixed_f_divergence(fv: FVector, P: DensityBundle, Q: DensityBundle) -> DivergenceReport:
     """Geometric mean of the n weighted integrands, summed against mu."""
     slots = _mixed_slots(fv, P, Q)
     return slots.report(slots.product())
 
 
-def mixed_k_form(
-    fv: FVector, P: DensityBundle, Q: DensityBundle, k: int
-) -> DivergenceReport:
+def mixed_k_form(fv: FVector, P: DensityBundle, Q: DensityBundle, k: int) -> DivergenceReport:
     """First k slots use (f_i, p_i, q_i); the rest use (f_i*, q_i, p_i)."""
     if not (_count(k) and 0 <= k <= len(fv)):
         raise IndexOutOfRange(f"k must be an integer in 0..{len(fv)}, got {k!r}")
@@ -159,51 +163,33 @@ def mixed_k_form(
     return slots.report(slots.product())
 
 
-def ith_mixed(
-    f1: FFunction,
-    f2: FFunction,
-    P1: Density,
-    Q1: Density,
-    P2: Density,
-    Q2: Density,
-    i: float,
-    n: int,
-    s: MeasureSpace,
-) -> DivergenceReport:
+def ith_mixed(f1: FFunction, f2: FFunction, P1: Density, Q1: Density, P2: Density, Q2: Density,
+              i: float, n: int, s: MeasureSpace) -> DivergenceReport:
     """Two-pair interpolation with exponents i/n and (n-i)/n."""
-    slots, integrand = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
+    slots, integrand = _ith(f1, f2, P1, Q1, P2, Q2, _ith_params(i, n), n, s)
     return slots.report(integrand)
 
 
 def _ith(f1, f2, P1, Q1, P2, Q2, i, n, s) -> tuple[_Slots, np.ndarray]:
-    """The two pairs' slots and their i-th mixed integrand."""
-    if not (_count(n) and n >= 1):
-        raise IndexOutOfRange(f"n must be an integer >= 1, got {n!r}")
+    """The two pairs' slots and their i-th mixed integrand, for i and n
+    that _ith_params has read."""
     slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
     return slots, slots.ith(i, n)
 
 
-def ith_mixed_reference(
-    f1: FFunction,
-    P1: Density,
-    Q1: Density,
-    i: float,
-    f2: FFunction,
-    s: MeasureSpace,
-    n: int,
-) -> DivergenceReport:
+def ith_mixed_reference(f1: FFunction, P1: Density, Q1: Density, i: float, f2: FFunction,
+                        s: MeasureSpace, n: int) -> DivergenceReport:
     """Reference form f2(1)^(1-i/n) * sum_j [f1(p_j/q_j) q_j]^(i/n) mu_j.
 
     Requires mu itself to be a probability measure.
     """
-    slots, integrand = _ith_reference(f1, P1, Q1, i, f2, s, n)
+    slots, integrand = _ith_reference(f1, P1, Q1, _ith_params(i, n), f2, s, n)
     return slots.report(integrand)
 
 
 def _ith_reference(f1, P1, Q1, i, f2, s, n) -> tuple[_Slots, np.ndarray]:
-    """The pair's slot and the reference-form integrand."""
-    if not (_count(n) and n >= 1):
-        raise IndexOutOfRange(f"n must be an integer >= 1, got {n!r}")
+    """The pair's slot and the reference-form integrand, for i and n that
+    _ith_params has read."""
     if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
         raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
     slots = _Slots.evaluate([(f1, P1.values, Q1.values)], s)
@@ -243,6 +229,8 @@ def named_divergence(
     if family == "mixed_hellinger":
         if alphas is None:
             raise InvalidParameter("mixed_hellinger needs alphas")
+        if not np.iterable(alphas):
+            raise InvalidParameter(f"mixed_hellinger needs a sequence of alphas, got {alphas!r}")
         fv = FVector([make_builtin("power", alpha=a) for a in alphas])
         return mixed_f_divergence(fv, P, Q)
     if family == "bhattacharyya":
@@ -258,3 +246,36 @@ def named_divergence(
             raise LogOfZero("Hellinger integral vanished; log undefined")
         return math.log(hell.value) / (alpha - 1.0)
     raise InvalidParameter(f"unknown divergence family {family!r}")
+
+
+class _Check(NamedTuple):
+    """A compute or verify task type: its function and the task's fields in
+    the function's argument order, name -> kind: "generator", "generators",
+    "density", "densities", "real", "int", "str", or "space" (no field: the
+    task's space). The `optional` fields, last, are all given or none."""
+
+    check: Callable
+    fields: dict
+    optional: tuple = ()
+
+    def results(self, space: MeasureSpace, task: dict) -> list:
+        """The function's results on the task's objects by field, as a list;
+        an absent field is None."""
+        out = self.check(*[space if kind == "space" else task.get(name)
+                           for name, kind in self.fields.items()])
+        return list(out) if isinstance(out, tuple) else [out]
+
+
+_ONE_PAIR = {"f": "generator", "p": "density", "q": "density", "s": "space"}
+_BUNDLES = {"fs": "generators", "ps": "densities", "qs": "densities"}
+_F12 = {"f1": "generator", "f2": "generator"}
+_PAIR1, _PAIR2 = ({f"p{k}": "density", f"q{k}": "density"} for k in "12")
+# the compute task types but `named`, whose optional fields are independent
+_FUNCTIONALS = {
+    "classical": _Check(classical_f_divergence, _ONE_PAIR),
+    "mixed": _Check(mixed_f_divergence, _BUNDLES),
+    "k_form": _Check(mixed_k_form, _BUNDLES | {"k": "int"}),
+    "ith": _Check(ith_mixed, _F12 | _PAIR1 | _PAIR2 | {"i": "real", "n": "int", "s": "space"}),
+    "ith_reference": _Check(ith_mixed_reference, {"f1": "generator"} | _PAIR1 | {
+        "i": "real", "f2": "generator", "s": "space", "n": "int"}),
+}

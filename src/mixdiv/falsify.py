@@ -261,7 +261,7 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     violations, min_slack, min_task = 0, None, None
     for draws in _trial_draws(seed, trials, _row_width(cfg.max_n)):
         space, task = _TRIALS[inequality_id](draws, cfg)
-        for v in _CHECKS[task["type"]].verdicts(space, task):
+        for v in _CHECKS[task["type"]].results(space, task):
             if not v.satisfied:
                 violations += 1
             rel = v.slack / (1.0 + abs(v.rhs))

@@ -123,15 +123,20 @@ class _Registry(dict):
         return self[name] if isinstance(name, str) else self.__missing__(name)
 
 
-def _real(params: dict, key: str, default=None) -> float:
-    """A real parameter; a bool or a string is refused, though float() reads both."""
-    value = params.get(key, default)
+def _as_real(value, what: str) -> float:
+    """value as a float; a bool or a string is refused, though float() reads both."""
+    if type(value) is float:
+        return value
     try:
         if isinstance(value, (bool, np.bool_, str, bytes)):
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidParameter(f"generator parameter {key!r} needs a real, got {value!r}") from None
+        raise InvalidParameter(f"{what} needs a real, got {value!r}") from None
+
+
+def _real(params: dict, key: str, default=None) -> float:
+    return _as_real(params.get(key, default), f"generator parameter {key!r}")
 
 
 def _inner(params: dict) -> FFunction:

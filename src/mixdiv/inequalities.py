@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -23,8 +24,11 @@ from .errors import (
     RangeMismatch,
     TagMismatch,
 )
-from .divergences import _count, _ith, _ith_reference, _mixed_slots, _power, _Slots
-from .ffunctions import LINEAR, FFunction, FVector
+from .divergences import (
+    _BUNDLES, _F12, _ONE_PAIR, _PAIR1, _PAIR2, _Check, _count, _ith, _ith_params, _ith_reference,
+    _mixed_slots, _power, _Slots,
+)
+from .ffunctions import LINEAR, FFunction, FVector, _as_real
 from .measures import Density, DensityBundle, MeasureSpace
 
 TOL_INEQ = 1e-10
@@ -83,16 +87,19 @@ def _equal(x, y) -> bool:
 
 
 def _tight(space: MeasureSpace, integrands, steps) -> Optional[dict]:
-    """Is each step of a bound's proof tight? `integrands` are those its
-    Hoelder step bounds (none when the proof has no such step); `steps` are
-    the (f, p, q) of its Jensen steps D_f(p, q) against f(1).
+    """Is each step of a bound's proof tight? `integrands` are its ends';
+    `steps` are the (f, p, q) of their Jensen steps D_f(p, q) against f(1),
+    with p and q None for an end that is the constant f(1) itself.
 
-    A null integrand makes every side vanish, so the bound is tight.
-    Otherwise Hoelder's step is tight iff every two integrands are
-    effectively proportional, and a Jensen step iff p = q for a strict f; it
-    always is for a linear f, which adds no key. None when a step's generator
-    is neither strict nor linear, or when no key is formed.
+    Hoelder's step needs two or more ends, and a Jensen step a pair. A null
+    integrand makes every side vanish, so the bound is tight. Otherwise
+    Hoelder's step is tight iff every two integrands are effectively
+    proportional, and a Jensen step iff p = q for a strict f; it always is
+    for a linear f, which adds no key. None when a step's generator is
+    neither strict nor linear, or when no key is formed.
     """
+    integrands = integrands if len(integrands) > 1 else ()
+    steps = [(f, p, q) for f, p, q in steps if p is not None]
     if not all(f.is_strict or f.convexity_tag == LINEAR for f, _, _ in steps):
         return None
     null = any(np.all(np.abs(h) <= PROP_TOL) for h in integrands)
@@ -105,6 +112,21 @@ def _tight(space: MeasureSpace, integrands, steps) -> Optional[dict]:
     if strict:
         diagnosis["densities_equal"] = null or all(_equal(q.values, p.values) for p, q in strict)
     return diagnosis or None
+
+
+def _bound(slots: _Slots, lhs: float, relation: str, ends, steps=None) -> InequalityVerdict:
+    """lhs against its proof's bound: Hoelder's step gives prod_k D(w_k)^e_k over
+    the ends (w_k, e_k), each D(w_k) summed as its end is drawn (so a generator
+    of ends sums each integrand while it is in cache); with each end's Jensen
+    step (f_k, p_k, q_k) in `steps`, the bound goes on to prod_k f_k(1)^e_k. An
+    end with e_k = 0 drops out with its step; `_tight` diagnoses the rest at equality."""
+    kept, factors = [], []
+    for (w, e), step in zip(ends, steps or repeat(None)):
+        if e != 0:
+            kept.append((w, step))
+            factors.append(_power(slots.value(w) if step is None else step[0].value_at_one, e))
+    return _verdict(lhs, math.prod(factors), relation, lambda: _tight(
+        slots.space, [w for w, _ in kept], [step for _, step in kept if step is not None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +169,15 @@ def af_check(fv: FVector, P: DensityBundle, Q: DensityBundle, m: int) -> Inequal
     _check_tags_uniform(fv)
     slots = _mixed_slots(fv, P, Q)
     lhs = _power(slots.value(slots.product()), m)
-    tails = [list(range(n - m)) + [k] * m for k in range(n - m, n)]
-    rhs = math.prod(slots.value(slots.product(idx)) for idx in tails)
-    return _verdict(lhs, rhs, "le",
-                    lambda: _tight(P.space, [slots.product(idx) for idx in tails], ()))
+    head = list(range(n - m))
+    return _bound(slots, lhs, "le", ((slots.product(head + [k] * m), 1) for k in range(n - m, n)))
 
 
 def jensen_bound_check(f: FFunction, p: Density, q: Density, s: MeasureSpace) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
-    relation = "ge" if f.is_convex else "le"
-    return _verdict(slots.value(slots.w[0]), f.value_at_one, relation,
-                    lambda: _tight(s, (), [(f, p, q)]))
+    return _bound(slots, slots.value(slots.w[0]), "ge" if f.is_convex else "le",
+                  [(slots.w[0], 1)], [(f, p, q)])
 
 
 def concave_chain_check(fv: FVector, P: DensityBundle,
@@ -170,27 +189,22 @@ def concave_chain_check(fv: FVector, P: DensityBundle,
         if not f.is_concave:
             raise NonConcaveTag("concave chain needs concave generators")
     slots = _mixed_slots(fv, P, Q)
-    d_mixed = slots.value(slots.product())
-    prod_classical = math.prod(slots.value(w) for w in slots.w)
-    prod_ones = math.prod(f.value_at_one for f in fv)
-    left = _verdict(_power(d_mixed, n), prod_classical, "le", lambda: _tight(P.space, slots.w, ()))
-    return left, _verdict(prod_classical, prod_ones, "le")
+    left = _bound(slots, _power(slots.value(slots.product()), n), "le", [(w, 1) for w in slots.w])
+    return left, _verdict(left.rhs, math.prod(f.value_at_one for f in fv), "le")
 
 
 def interpolation_check(f1: FFunction, f2: FFunction, P1: Density, Q1: Density, P2: Density,
                         Q2: Density, i: float, j: float, k: float, n: int,
                         s: MeasureSpace) -> InequalityVerdict:
     """Log-convexity of i -> D(P, Q; i): D(i) <= D(j)^((k-i)/(k-j)) D(k)^((i-j)/(k-j))."""
+    i, j, k = _as_real(i, "i"), _as_real(j, "j"), _as_real(k, "k")
     lo, hi = min(j, k), max(j, k)
     if not (lo <= i <= hi):
         raise BadOrdering(f"i={i} is outside [{lo}, {hi}]")
-    slots, w_i = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
-    d_i = slots.value(w_i)
-    if i == j or i == k:
-        return _verdict(d_i, d_i, "le")
-    d_j, d_k = (slots.value(slots.ith(x, n)) for x in (j, k))
-    rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
-    return _verdict(d_i, rhs, "le", lambda: _tight(s, slots.w, ()))
+    slots, w_i = _ith(f1, f2, P1, Q1, P2, Q2, _ith_params(i, n), n, s)
+    # the ends are points of [j, k] with their exponents; at j or k the bound is D(i) itself
+    ends = [(i, 1)] if i in (j, k) else [(j, (k - i) / (k - j)), (k, (i - j) / (k - j))]
+    return _bound(slots, slots.value(w_i), "le", ((slots.ith(x, n), e) for x, e in ends))
 
 
 class _Range(NamedTuple):
@@ -249,48 +263,22 @@ def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, 
     if not (getattr(f1, f"is_{row.f1}") and (row.f2 is None or getattr(f2, f"is_{row.f2}"))):
         needs = f"f1 {row.f1}" + (f" and f2 {row.f2}" if row.f2 else "")
         raise TagMismatch(f"{case} needs {needs}")
+    i = _ith_params(i, n)
     if not row.range.holds(i, n):
         raise RangeMismatch(f"{case} needs {row.range.text}")
-    bound = _power(f1.value_at_one, i) * _power(f2.value_at_one, n - i)
-    if row.reference:
+    if row.reference:  # the second end is the constant f2(1), with no pair to take Jensen's step on
         slots, w = _ith_reference(f1, P1, Q1, i, f2, s, n)
+        second, step = np.full(s.size, f2.value_at_one), (f2, None, None)
     else:
         slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
-
-    def diagnose():
-        """Hoelder's step on the two slots' integrands, with f2(1)*1 as a
-        reference case's second, none at i in {0, n}; then Jensen's on each
-        pair whose exponent is nonzero."""
-        second = np.full(s.size, f2.value_at_one) if row.reference else slots.w[1]
-        jensen = [(f1, P1, Q1)] * (i != 0) + [(f2, P2, Q2)] * (i != n and not row.reference)
-        return _tight(s, () if i in (0, n) else (slots.w[0], second), jensen)
-    return _verdict(_power(slots.value(w), n), bound, row.range.relation, diagnose)
+        second, step = slots.w[1], (f2, P2, Q2)
+    return _bound(slots, _power(slots.value(w), n), row.range.relation,
+                  [(slots.w[0], i), (second, n - i)], [(f1, P1, Q1), step])
 
 
-class _Check(NamedTuple):
-    """A verify task type: its check and the task's fields in the check's
-    argument order, name -> kind: "generator", "generators", "density",
-    "densities", "real", "int", "str", or "space" (no field: the task's
-    space). The `optional` fields, last, are all given or none."""
-
-    check: Callable
-    fields: dict
-    optional: tuple = ()
-
-    def verdicts(self, space: MeasureSpace, task: dict) -> list:
-        """The check's verdicts on the task's objects by field; an absent field is None."""
-        out = self.check(*[space if kind == "space" else task.get(name)
-                           for name, kind in self.fields.items()])
-        return list(out) if isinstance(out, tuple) else [out]
-
-
-_BUNDLES = {"fs": "generators", "ps": "densities", "qs": "densities"}
-_F12 = {"f1": "generator", "f2": "generator"}
-_PAIR1, _PAIR2 = ({f"p{k}": "density", f"q{k}": "density"} for k in "12")
 _CHECKS = {
     "af": _Check(af_check, _BUNDLES | {"m": "int"}),
-    "jensen": _Check(jensen_bound_check,
-                     {"f": "generator", "p": "density", "q": "density", "s": "space"}),
+    "jensen": _Check(jensen_bound_check, _ONE_PAIR),
     "concave_chain": _Check(concave_chain_check, _BUNDLES),
     "interpolation": _Check(interpolation_check, _F12 | _PAIR1 | _PAIR2 | {
         "i": "real", "j": "real", "k": "real", "n": "int", "s": "space"}),

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# last on the path: a PYTHONPATH entry or an installed mixdiv wins over the checkout's src
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from mixdiv import Density, make_space
 

@@ -24,6 +24,8 @@ from mixdiv.errors import (
     RenyiUndefined,
 )
 
+from mixdiv.falsify import FalsifyConfig, _random_bundles, _random_space
+
 from conftest import random_prob
 from oracles import ith_oracle, k_form_oracle, mixed_oracle
 
@@ -377,3 +379,43 @@ def test_mixed_renyi_is_a_classical_renyi_plus_a_mass_term(alpha):
         mass = (alpha * math.log(a) + (1.0 - alpha) * math.log(b)) / (alpha - 1.0)
         value = named_divergence("mixed_renyi", P, Q, alpha=alpha)
         assert abs(value - (classical + mass)) <= 1e-12 * max(1.0, abs(value)), (n, atoms)
+
+
+# -- mixed Renyi's order behaviour, on bundles drawn as the falsifier draws them
+
+
+def _falsifier_bundles(seed, count):
+    """(n, P, Q) drawn by the falsifier's helpers: n = 1-4, 2-12 atoms."""
+    rng, cfg = np.random.default_rng(seed), FalsifyConfig()
+    for _ in range(count):
+        n = int(rng.integers(1, cfg.max_n + 1))
+        bundles = _random_bundles(rng, _random_space(rng, cfg), n)
+        yield n, bundles["ps"], bundles["qs"]
+
+
+BELOW_ONE = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+ABOVE_ONE = [1.01, 1.1, 1.5, 2.0, 3.0, 5.0]
+
+
+def test_mixed_renyi_never_decreases_in_alpha_on_either_side_of_one():
+    # The mass term has a pole at alpha = 1 whenever a < 1 (n >= 2), so the value
+    # falls across 1 for some bundle, but on each side of 1 it never decreases.
+    falls_across_one = False
+    for n, P, Q in _falsifier_bundles(1802, 200):
+        below, above = ([named_divergence("mixed_renyi", P, Q, alpha=a) for a in alphas]
+                        for alphas in (BELOW_ONE, ABOVE_ONE))
+        for values in (below, above):
+            for lo, hi in zip(values, values[1:]):
+                assert hi >= lo - 1e-12 * abs(lo), (n, values)
+        falls_across_one |= above[0] < below[-1]
+    assert falls_across_one
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0])
+def test_mixed_renyi_above_one_is_negative_only_beyond_one_pair(alpha):
+    # For alpha > 1 the mass term (alpha log a + (1 - alpha) log b) / (alpha - 1) can
+    # be negative once n >= 2; at n = 1, a = b = 1 and the value is a Renyi divergence.
+    negative = {1: False, 2: False}
+    for n, P, Q in _falsifier_bundles(1803, 200):
+        negative[min(n, 2)] |= named_divergence("mixed_renyi", P, Q, alpha=alpha) < 0.0
+    assert negative == {1: False, 2: True}

@@ -264,43 +264,44 @@ def test_readme_lists_the_registered_inequality_ids():
 # -- malformed specs ---------------------------------------------------------
 
 
+# name -> (command, spec, the error it exits 2 with)
 MALFORMED_SPECS = {
-    "grid_not_object": ("geometry", {"grid": 5, "tasks": []}),
+    "grid_not_object": ("geometry", {"grid": 5, "tasks": []}, "SpecError"),
     "densities_not_object": ("compute", {
         "space": {"weights": [1, 1, 1]}, "densities": [1, 2], "tasks": [],
-    }),
+    }, "SpecError"),
     "power_without_alpha": ("compute", _verify_spec(
-        {"type": "classical", "f": {"kind": "power"}, "p": "p", "q": "q"})),
+        {"type": "classical", "f": {"kind": "power"}, "p": "p", "q": "q"}), "InvalidParameter"),
     "scaled_without_lambda": ("compute", _verify_spec({
         "type": "classical", "f": {"kind": "scaled", "inner": {"kind": "tv"}}, "p": "p", "q": "q",
-    })),
+    }), "InvalidParameter"),
     "classical_without_p": ("compute", _verify_spec(
-        {"type": "classical", "f": {"kind": "tv"}, "q": "q"})),
+        {"type": "classical", "f": {"kind": "tv"}, "q": "q"}), "SpecError"),
     "corollary_p2_without_q2": ("verify", _verify_spec({
         "type": "corollary", "case": "concave_band", "f1": {"kind": "power", "alpha": 0.5},
         "f2": {"kind": "power", "alpha": 0.5}, "p1": "p", "q1": "q", "p2": "p", "i": 1, "n": 2,
-    })),
-    "tasks_not_list": ("compute", {"space": {"weights": [1, 1, 1]}, "tasks": 5}),
+    }), "SpecError"),
+    "tasks_not_list": ("compute", {"space": {"weights": [1, 1, 1]}, "tasks": 5}, "SpecError"),
     "fs_not_list": ("compute", _verify_spec(
-        {"type": "mixed", "fs": 5, "ps": ["p"], "qs": ["q"]})),
-    "task_not_object": ("verify", {"space": {"weights": [1, 1, 1]}, "tasks": [5]}),
-    "trials_not_integer": ("falsify", {"tasks": [{"inequality": "af_check", "trials": "x"}]}),
+        {"type": "mixed", "fs": 5, "ps": ["p"], "qs": ["q"]}), "SpecError"),
+    "task_not_object": ("verify", {"space": {"weights": [1, 1, 1]}, "tasks": [5]}, "SpecError"),
+    "trials_not_integer": ("falsify", {"tasks": [{"inequality": "af_check", "trials": "x"}]},
+                           "SpecError"),
     "unknown_density_name": ("compute", _verify_spec(
-        {"type": "classical", "f": {"kind": "tv"}, "p": "nope", "q": "q"})),
-    "unknown_task_type": ("verify", _verify_spec({"type": "nope"})),
+        {"type": "classical", "f": {"kind": "tv"}, "p": "nope", "q": "q"}), "SpecError"),
+    "unknown_task_type": ("verify", _verify_spec({"type": "nope"}), "SpecError"),
     "norm_tolerance_zero": ("compute", _verify_spec(
         {"type": "classical", "f": {"kind": "tv"}, "p": "p", "q": "q"})
-        | {"tolerances": {"norm": 0}}),
+        | {"tolerances": {"norm": 0}}, "SpecError"),
 }
 
 
 @pytest.mark.parametrize("name", MALFORMED_SPECS)
 def test_malformed_spec_exits_2_with_a_typed_error(tmp_path, capsys, name):
-    command, payload = MALFORMED_SPECS[name]
+    command, payload, error = MALFORMED_SPECS[name]
     spec = _write(tmp_path, "s.json", payload)
     assert main([command, "--spec", spec]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert issubclass(getattr(errors, error), errors.MixdivError)
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_falsify_negative_seed_raises():
@@ -473,3 +474,32 @@ def test_a_non_count_n_raises_index_out_of_range(call, n):
         call(n)
     call(2)
     call(np.int64(2))
+
+
+# i, j and k of the i-th mixed forms, and alphas, are reals: a bool, a string,
+# None or a complex is refused before any use
+REAL_CALLS = {
+    "ith_mixed_i": (lambda x: ith_mixed(ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, x, 2, HALVES),
+                    1),
+    "ith_mixed_reference_i": (lambda x: ith_mixed_reference(ROOT, P_HALF, Q_HALF, x, ROOT,
+                                                            HALVES, 2), 1),
+    "interpolation_check_i": (lambda x: interpolation_check(
+        ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, x, 0.0, 2.0, 2, HALVES), 1),
+    "interpolation_check_j": (lambda x: interpolation_check(
+        ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, 1.5, x, 2.0, 2, HALVES), 1),
+    "interpolation_check_k": (lambda x: interpolation_check(
+        ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, 0.5, 0.0, x, 2, HALVES), 1),
+    "corollary_bound_check_i": (lambda x: corollary_bound_check(
+        "concave_band", ROOT, ROOT, P_HALF, Q_HALF, x, 2, HALVES, Q_HALF, P_HALF), 1),
+    "named_divergence_alphas": (lambda x: named_divergence("mixed_hellinger", P_PAIR, Q_PAIR,
+                                                           alphas=x), [0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None, 1j, True, np.True_],
+                         ids=["str", "none", "complex", "bool", "numpy_bool"])
+@pytest.mark.parametrize("call, good", REAL_CALLS.values(), ids=REAL_CALLS.keys())
+def test_a_non_real_parameter_raises_invalid_parameter(call, good, value):
+    with pytest.raises(InvalidParameter):
+        call(value)
+    call(good)

@@ -80,14 +80,23 @@ def _reals(value) -> list:
 class _Reader:
     """Typed reads of one JSON object of a spec. `get` raises SpecError when
     the field is missing or when the converter `to` (_real, _int, _LIST, ...)
-    rejects it; a default is returned as given."""
+    rejects it; a default is returned as given. Each key asked for is
+    recorded, so that `all_read` can refuse the fields nothing read."""
 
     def __init__(self, data, where):
         if not isinstance(data, dict):
             raise SpecError(f"{where} must be a JSON object, got {data!r}")
-        self.data, self.where = data, where
+        self.data, self.where, self.read = data, where, set()
+
+    def all_read(self) -> None:
+        """SpecError naming each field of the object that no `get` asked for."""
+        unread = self.data.keys() - self.read
+        if unread:
+            names = ", ".join(repr(key) for key in sorted(unread))
+            raise SpecError(f"unknown field {names} in {self.where}")
 
     def get(self, key, to=lambda value: value, default=_REQUIRED):
+        self.read.add(key)
         if key not in self.data:
             if default is _REQUIRED:
                 raise SpecError(f"missing field {key!r} in {self.where}")
@@ -166,7 +175,8 @@ def _parse_inputs(spec) -> dict:
 
 
 def _run(command, table, spec, inputs):
-    """Run each task of the spec through its entry in the command's table."""
+    """Run each task of the spec through its entry in the command's table;
+    a field the entry did not read is a SpecError."""
     results = []
     for task in spec.get("tasks", _LIST):
         r = _Task(task, **inputs)
@@ -174,6 +184,7 @@ def _run(command, table, spec, inputs):
         if run is None:
             raise SpecError(f"unknown {command} task type {r.type!r}")
         out = run(r)
+        r.all_read()
         results += out if isinstance(out, list) else [out]
     code = 1 if any(not entry.get("satisfied", True) for entry in results) else 0
     return {"command": command, "results": results}, code
@@ -229,12 +240,11 @@ def run_falsify(spec, seed=None, trials=None):
         task = _Reader(task, "falsify task")
         cfg = FalsifyConfig(**{key: task.get(key, _int)
                                for key in ("max_atoms", "max_n") if key in task.data})
-        results.append(run_falsify_trials(
-            task.get("inequality", _STR),
-            task.get("seed", _int, seed if seed is not None else 0),
-            task.get("trials", _int, trials if trials is not None else 1000),
-            cfg,
-        ))
+        args = (task.get("inequality", _STR),
+                task.get("seed", _int, seed if seed is not None else 0),
+                task.get("trials", _int, trials if trials is not None else 1000), cfg)
+        task.all_read()  # before any trial
+        results.append(run_falsify_trials(*args))
     code = 1 if any(report["violations"] > 0 for report in results) else 0
     return {"command": "falsify", "results": results}, code
 

@@ -82,9 +82,10 @@ class _Slots:
     def evaluate(cls, slots, space: MeasureSpace, terms=None) -> "_Slots":
         """Slots from (f, p, q) triples via terms(f, p, q) -> (w, hits), by default
         weighted_terms, after checking each p and q against the space size."""
-        slots, terms = list(slots), terms or weighted_terms
-        if any(len(x) != space.size for _, p, q in slots for x in (p, q)):
-            raise SpaceMismatch("densities do not match the space size")
+        slots, terms, size = list(slots), terms or weighted_terms, space.size
+        for _, p, q in slots:
+            if len(p) != size or len(q) != size:
+                raise SpaceMismatch("densities do not match the space size")
         w, hits = zip(*[terms(f, p, q) for f, p, q in slots])
         return cls(w, space, sum(hits))
 

@@ -20,7 +20,7 @@ from .divergences import _count
 from .errors import InvalidParameter, RangeMismatch
 from .ffunctions import FVector, make_builtin
 from .inequalities import _CHECKS, _COROLLARIES
-from .measures import Density, make_bundle, make_space
+from .measures import _density_rows, make_bundle, make_space
 
 
 # Bounds on FalsifyConfig: a trial holds at most 2 * MAX_N densities of MAX_ATOMS atoms.
@@ -104,11 +104,11 @@ def _random_space(rng, cfg, probability=False):
 
 
 def _random_densities(rng, space, k) -> list:
-    """k random probability densities on the space, drawn in one call and
-    normalised by one matrix-vector product."""
+    """k random probability densities on the space, drawn in one call,
+    normalised by one matrix-vector product and checked as one block."""
     v = rng.exponential(1.0, (k, space.size)) + 1e-3
     v /= (v @ space.weights)[:, None]
-    return [Density(row) for row in v]
+    return _density_rows(v)
 
 
 def _random_linear(rng):

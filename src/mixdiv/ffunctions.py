@@ -278,14 +278,15 @@ def weighted_term(f: FFunction, p: float, q: float) -> float:
 def weighted_terms(f: FFunction, p: np.ndarray, q: np.ndarray):
     """Vectorized weighted_term for strictly positive arrays.
 
-    Falls back to the scalar path (with its conventions) when any entry
-    is zero. Returns (values, convention_hits).
+    The vector path evaluates the kind's row on the ratios directly. Falls
+    back to the scalar path (with its conventions) when any entry is zero.
+    Returns (values, convention_hits).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if (np.minimum.reduce(p, axis=None, initial=np.inf) > 0.0
             and np.minimum.reduce(q, axis=None, initial=np.inf) > 0.0):
-        return q * np.asarray(f(p / q), dtype=float), 0
+        return q * _KINDS[f.kind].eval(f, p / q), 0
     vals = [weighted_term(f, pj, qj) for pj, qj in zip(p.ravel().tolist(), q.ravel().tolist())]
     return np.array(vals).reshape(p.shape), int(np.count_nonzero((p == 0.0) | (q == 0.0)))
 

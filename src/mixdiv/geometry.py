@@ -21,7 +21,7 @@ from .errors import InvalidParameter, NotC2Plus, SingularMatrix, UnsupportedFami
 from .divergences import DivergenceReport, ith_mixed, mixed_f_divergence
 from .ffunctions import FFunction, FVector, _Registry
 from .inequalities import InequalityVerdict, _verdict
-from .measures import Density, DensityBundle, MeasureSpace
+from .measures import Density, DensityBundle, MeasureSpace, _density_rows
 
 
 _BLOCK = 8192  # nodes per block of the body kernels; its temporaries stay in cache
@@ -238,14 +238,16 @@ def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
 def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]:
     """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|), filled as
     h^-2 and f h block by block in the rows of one allocation, as in
-    `body_eval`, each then divided by its trapezoid sum 2|K*| or 2|K|."""
-    p, q = np.empty((2, grid.node_count))
+    `body_eval`, each then divided by its trapezoid sum 2|K*| or 2|K|; the
+    two rows are checked as one block."""
+    pq = np.empty((2, grid.node_count))
+    p, q = pq
     for block, h, _, f in _stream(K, grid):
         np.divide(1.0, np.multiply(h, h, out=p[block]), out=p[block])
         np.multiply(f, h, out=q[block])
     p /= np.dot(p, grid.weights)
     q /= np.dot(q, grid.weights)
-    return Density(p), Density(q)
+    return tuple(_density_rows(pq))
 
 
 def _bundles(bodies, grid, orientation):

@@ -49,7 +49,7 @@ class InequalityVerdict:
 def _verdict(lhs: float, rhs: float, relation: str, diagnose=None) -> InequalityVerdict:
     """diagnose() -> the diagnosis, called only when the verdict is at equality."""
     slack = (rhs - lhs) if relation == "le" else (lhs - rhs)
-    if not all(math.isfinite(x) for x in (lhs, rhs, slack)):
+    if not math.isfinite(slack):  # as it is whenever lhs or rhs is NaN or +-inf
         raise NonFiniteValue(f"verdict sides are not finite: lhs={lhs!r}, rhs={rhs!r}")
     scale = 1.0 + abs(rhs)
     equality = abs(slack) <= TOL_EQ * scale
@@ -253,13 +253,15 @@ def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, 
 
     Pair cases (concave_band, convex_concave_high, concave_convex_low)
     need the second pair (P2, Q2); reference cases integrate against mu
-    itself and need a probability space.
+    itself, need a probability space and take no second pair.
     """
     row = _COROLLARIES.get(case) if isinstance(case, str) else None
     if row is None:
         raise RangeMismatch(f"unknown corollary case {case!r}")
     if not row.reference and (P2 is None or Q2 is None):
         raise RangeMismatch("pair corollaries need the second density pair")
+    if row.reference and (P2 is not None or Q2 is not None):
+        raise RangeMismatch("reference corollaries take no second density pair")
     if not (getattr(f1, f"is_{row.f1}") and (row.f2 is None or getattr(f2, f"is_{row.f2}"))):
         needs = f"f1 {row.f1}" + (f" and f2 {row.f2}" if row.f2 else "")
         raise TagMismatch(f"{case} needs {needs}")

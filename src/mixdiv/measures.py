@@ -62,20 +62,37 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        try:
-            v = np.asarray(self.values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ZeroDensityAtom(f"density values must be reals, got {self.values!r}") from None
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise LengthMismatch("density values must be 1-d")
-        # one reduction each, no elementwise temporary; NaN fails both comparisons
-        if not (np.minimum.reduce(v, initial=np.inf) >= 0.0
-                and np.maximum.reduce(v, initial=0.0) < np.inf):
-            raise ZeroDensityAtom("density values must be finite and nonnegative")
+        object.__setattr__(self, "values", _checked(self.values, 1))
 
     def __len__(self):
         return int(self.values.size)
+
+
+def _checked(values, ndim: int) -> np.ndarray:
+    """values as a float array of rank ndim whose entries are all finite and
+    nonnegative: the one density check, for a single density and a block."""
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ZeroDensityAtom(f"density values must be reals, got {values!r}") from None
+    if v.ndim != ndim:
+        raise LengthMismatch(f"density values must be {ndim}-d")
+    # one reduction each, no elementwise temporary; NaN fails both comparisons
+    if not (np.minimum.reduce(v, axis=None, initial=np.inf) >= 0.0
+            and np.maximum.reduce(v, axis=None, initial=0.0) < np.inf):
+        raise ZeroDensityAtom("density values must be finite and nonnegative")
+    return v
+
+
+def _density_rows(block) -> list:
+    """The rows of a 2-d block as Densities, the block checked once as a
+    whole: each row is a view of the block and is not checked again."""
+    rows = []
+    for row in _checked(block, 2):
+        d = object.__new__(Density)
+        d.__dict__["values"] = row  # past the frozen __init__, which would check the row again
+        rows.append(d)
+    return rows
 
 
 def validate_density(

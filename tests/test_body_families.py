@@ -9,11 +9,12 @@ import pytest
 
 from mixdiv import geometry
 from mixdiv.cli import main
-from mixdiv.errors import InvalidParameter, UnsupportedFamily
+from mixdiv.errors import InvalidParameter, NotC2Plus, UnsupportedFamily
 from mixdiv.geometry import (
     CircleGrid,
     ConvexBody2D,
     apply_linear_map,
+    body_densities,
     body_functionals,
     ellipse,
     trigball,
@@ -50,6 +51,27 @@ def test_a_family_added_as_one_row_reaches_geometry_and_the_cli(tmp_path, capsys
     assert (code, json.loads(err)["error"]) == (2, "SpecError")
     with pytest.raises(UnsupportedFamily):
         apply_linear_map(ConvexBody2D("disk", a=2.0), np.eye(2))
+
+
+@pytest.mark.parametrize("curvature", [
+    lambda c: c,  # negative on half the circle
+    lambda c: np.where(c > 0.5, np.nan, 1.0),
+], ids=["negative", "nan"])
+def test_a_body_whose_curvature_is_not_positive_is_refused(tmp_path, capsys, monkeypatch,
+                                                           curvature):
+    # h = 1 and h' = 0, with a curvature f that the row gets wrong on some nodes
+    bad = geometry._Family(
+        checks=(), frequency=lambda K: 1,
+        kernel=lambda K, c, s: (np.ones_like(c), np.zeros_like(s), curvature(c)),
+        linear_map=None, spec={},
+    )
+    monkeypatch.setitem(geometry._FAMILIES, "bad", bad)
+    K, grid = ConvexBody2D("bad"), CircleGrid(256)
+    for call in (body_functionals, body_densities):
+        with pytest.raises(NotC2Plus):
+            call(K, grid)
+    code, out, err = _geometry(tmp_path, capsys, {"family": "bad"})
+    assert (code, out, json.loads(err)["error"]) == (2, "", "NotC2Plus")
 
 
 @pytest.mark.parametrize("make, error, message", [

@@ -365,7 +365,8 @@ def _flip(f):
 def _corollary(case, f1, f2, i):
     space = make_space([0.5, 0.5])
     p = Density([1.0, 1.0])
-    return corollary_bound_check(case, f1, f2, p, p, i, 2, space, P2=p, Q2=p)
+    pair = {} if case.startswith("reference") else {"P2": p, "Q2": p}
+    return corollary_bound_check(case, f1, f2, p, p, i, 2, space, **pair)
 
 
 @pytest.mark.parametrize("case", COROLLARY_RULES)
@@ -571,9 +572,9 @@ HOELDER, JENSEN = "effectively_proportional", "densities_equal"
 
 
 def _at(case, f1, f2, i, n=2, P1=_P, Q1=_P, P2=_P, Q2=_P):
-    """A corollary check; a reference case reads only (P1, Q1)."""
-    return lambda: corollary_bound_check(case, f1, f2, P1, Q1, i, n, ENDPOINT_SPACE,
-                                         P2=P2, Q2=Q2)
+    """A corollary check; a reference case takes only (P1, Q1)."""
+    pair = {} if case.startswith("reference") else {"P2": P2, "Q2": Q2}
+    return lambda: corollary_bound_check(case, f1, f2, P1, Q1, i, n, ENDPOINT_SPACE, **pair)
 
 
 LINEAR_12, TV = make_builtin("linear", a=1.0, b=2.0), make_builtin("tv")

@@ -17,6 +17,7 @@ from mixdiv.errors import (
     ZeroDensityAtom,
 )
 from mixdiv.inequalities import FactorDecomposition
+from mixdiv.measures import _density_rows
 
 
 def test_make_space_counting():
@@ -53,6 +54,40 @@ def test_density_accepts_exactly_the_finite_nonnegative_vectors(values, error):
     else:
         with pytest.raises(error):
             Density(values)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# a bad vector for Density, and a block that holds it as a row (or has the wrong rank)
+@pytest.mark.parametrize("vector, block, error", [
+    ([0.5, NAN], [[0.5, 0.5], [0.5, NAN]], ZeroDensityAtom),
+    ([INF, 0.5], [[INF, 0.5]], ZeroDensityAtom),
+    ([-INF, 0.5], [[-INF, 0.5]], ZeroDensityAtom),
+    ([0.5, -1e-300], [[0.5, 0.5], [0.5, -1e-300]], ZeroDensityAtom),
+    (["a", 0.5], [["a", 0.5]], ZeroDensityAtom),
+    ([[1.0], [1.0, 2.0]], [[[1.0], [1.0, 2.0]]], ZeroDensityAtom),
+    ([[0.5, 0.5]], [0.5, 0.5], LengthMismatch),
+    ([[0.5, 0.5]], [[[0.5, 0.5]]], LengthMismatch),
+], ids=["nan", "inf", "-inf", "negative", "string", "ragged", "rank_1_block", "rank_3_block"])
+def test_a_block_is_refused_as_its_bad_row_is(vector, block, error):
+    with pytest.raises(error):
+        Density(vector)
+    with pytest.raises(error):
+        _density_rows(block)
+
+
+@pytest.mark.parametrize("block", [
+    np.array([[0.25, 0.75, 0.0], [-0.0, 1.5, 1e-300]]),
+    np.random.default_rng(3).exponential(1.0, (5, 7)),
+    np.empty((0, 4)),
+])
+def test_each_row_of_a_block_is_a_view_with_the_bits_of_a_density(block):
+    rows = _density_rows(block)
+    assert len(rows) == len(block)
+    for row, d in zip(block, rows):
+        assert type(d) is Density and np.shares_memory(d.values, block)
+        assert d.values.tobytes() == Density(row).values.tobytes()
 
 
 def test_validate_probability_ok(counting2):

@@ -35,7 +35,7 @@ from mixdiv import (
     named_divergence,
     probability_density,
 )
-from mixdiv import errors
+from mixdiv import cli, errors
 from mixdiv.cli import main
 from mixdiv.errors import (
     DegenerateExponent,
@@ -293,6 +293,23 @@ MALFORMED_SPECS = {
     "norm_tolerance_zero": ("compute", _verify_spec(
         {"type": "classical", "f": {"kind": "tv"}, "p": "p", "q": "q"})
         | {"tolerances": {"norm": 0}}, "SpecError"),
+    # a reference corollary integrates against mu: it has no second pair to read
+    "reference_with_second_pair": ("verify", {
+        "space": {"weights": [0.5, 0.5]}, "densities": {"p": [0.8, 1.2], "q": [1.5, 0.5]},
+        "tasks": [{"type": "corollary", "case": "reference_concave",
+                   "f1": {"kind": "power", "alpha": 0.5}, "f2": {"kind": "power", "alpha": 0.5},
+                   "p1": "p", "q1": "q", "p2": "p", "q2": "q", "i": 1, "n": 2}],
+    }, "RangeMismatch"),
+    # a task field that no row reads: misspelt, or not a field of the task type
+    "kl_orientation_misspelt": ("compute", _verify_spec({
+        "type": "named", "family": "mixed_kl", "ps": ["p"], "qs": ["q"], "kl_orientaton": "qp",
+    }), "SpecError"),
+    "af_with_n": ("verify", _verify_spec({
+        "type": "af", "fs": [{"kind": "power", "alpha": 0.5}], "ps": ["p"], "qs": ["q"], "m": 1,
+        "n": 5,
+    }), "SpecError"),
+    "falsify_trials_misspelt": ("falsify", {"tasks": [{"inequality": "af_check", "trails": 5}]},
+                                "SpecError"),
 }
 
 
@@ -302,6 +319,18 @@ def test_malformed_spec_exits_2_with_a_typed_error(tmp_path, capsys, name):
     spec = _write(tmp_path, "s.json", payload)
     assert main([command, "--spec", spec]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize("name, field", [("kl_orientation_misspelt", "'kl_orientaton'"),
+                                         ("af_with_n", "'n'"),
+                                         ("falsify_trials_misspelt", "'trails'")])
+def test_an_unread_task_field_is_named_and_no_trial_runs(tmp_path, capsys, monkeypatch, name,
+                                                          field):
+    monkeypatch.setattr(cli, "run_falsify_trials", lambda *args: pytest.fail("a trial ran"))
+    command, payload, _ = MALFORMED_SPECS[name]
+    assert main([command, "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and field in json.loads(err)["message"]
 
 
 def test_falsify_negative_seed_raises():
@@ -453,6 +482,15 @@ TYPED_RAISES = {
 def test_a_bad_input_raises_its_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("second", [{"P2": Density([1.0, 1.0]), "Q2": P_HALF}, {"P2": P_HALF},
+                                    {"Q2": Q_HALF}], ids=["both", "P2", "Q2"])
+def test_a_reference_corollary_refuses_a_second_pair(second):
+    args = ("reference_concave", ROOT, ROOT, P_HALF, Q_HALF, 1.0, 2, HALVES)
+    assert corollary_bound_check(*args).satisfied  # the same case without it holds
+    with pytest.raises(RangeMismatch):
+        corollary_bound_check(*args, **second)
 
 
 # n of the i-th mixed forms is a count, as m and k are: a bool, a fraction or 0 is refused

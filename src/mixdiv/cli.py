@@ -108,6 +108,12 @@ class _Reader:
                 f"field {key!r} in {self.where} has a wrong type or value: {self.data[key]!r}"
             ) from None
 
+    def last(self, key, to=lambda value: value, default=_REQUIRED):
+        """get, as the object's last read: a field still unread is refused."""
+        value = self.get(key, to, default)
+        self.all_read()
+        return value
+
     def section(self, key, default=_REQUIRED) -> "_Reader":
         return _Reader(self.get(key, default=default), key)
 
@@ -155,16 +161,11 @@ class _Task(_Reader):
         return [{"task": self.type} | extra | dataclasses.asdict(v) for v in verdicts]
 
 
-def _norm_tol(spec):
-    tol = spec.section("tolerances", {}).get("norm", _real, 1e-12)
+def _parse_inputs(spec) -> dict:
+    space = make_space(spec.section("space").last("weights", _reals))
+    tol = spec.section("tolerances", {}).last("norm", _real, 1e-12)
     if tol <= 0:
         raise SpecError("tolerance overrides must be positive")
-    return tol
-
-
-def _parse_inputs(spec) -> dict:
-    space = make_space(spec.section("space").get("weights", _reals))
-    tol = _norm_tol(spec)
     named = spec.section("densities", {})
     densities = {}
     for name in named.data:
@@ -176,9 +177,9 @@ def _parse_inputs(spec) -> dict:
 
 def _run(command, table, spec, inputs):
     """Run each task of the spec through its entry in the command's table;
-    a field the entry did not read is a SpecError."""
+    a field the entry, or the spec, did not read is a SpecError."""
     results = []
-    for task in spec.get("tasks", _LIST):
+    for task in spec.last("tasks", _LIST):
         r = _Task(task, **inputs)
         run = table.get(r.type)
         if run is None:
@@ -192,22 +193,16 @@ def _run(command, table, spec, inputs):
 
 def _named(r):
     family = r.get("family", _STR)
-    out = divergences.named_divergence(
-        family, r.bundle("ps"), r.bundle("qs"),
-        alphas=r.get("alphas", _reals, None),
-        alpha=r.get("alpha", _real, None),
-        kl_orientation=r.get("kl_orientation", _STR, "pq"),
-    )
+    out, = _results(r, divergences._NAMED.row(family))
     entry = {"task": r.type, "value": out} if isinstance(out, float) else r.report(out)
     return entry | {"family": family}
 
 
 # a task field's kind -> its typed read; _results reads the fields its row names
-_READ = {
-    "generator": _Task.f, "generators": _Task.fs, "density": _Task.ref, "densities": _Task.bundle,
-    "real": lambda r, key: r.get(key, _real), "int": lambda r, key: r.get(key, _int),
-    "str": lambda r, key: r.get(key, _STR), "space": lambda r, key: r.space,
-}
+_READ = {"generator": _Task.f, "generators": _Task.fs, "density": _Task.ref,
+         "densities": _Task.bundle, "space": lambda r, key: r.space} | {
+    kind: lambda r, key, to=to: r.get(key, to)
+    for kind, to in {"real": _real, "reals": _reals, "int": _int, "str": _STR}.items()}
 
 
 def _results(r, row) -> list:
@@ -236,27 +231,28 @@ def run_verify(spec):
 
 def run_falsify(spec, seed=None, trials=None):
     results = []
-    for task in _Reader(spec, "spec").get("tasks", _LIST):
+    for task in _Reader(spec, "spec").last("tasks", _LIST):
         task = _Reader(task, "falsify task")
         cfg = FalsifyConfig(**{key: task.get(key, _int)
                                for key in ("max_atoms", "max_n") if key in task.data})
         args = (task.get("inequality", _STR),
                 task.get("seed", _int, seed if seed is not None else 0),
-                task.get("trials", _int, trials if trials is not None else 1000), cfg)
-        task.all_read()  # before any trial
-        results.append(run_falsify_trials(*args))
+                task.last("trials", _int, trials if trials is not None else 1000), cfg)
+        results.append(run_falsify_trials(*args))  # once every field is read
     code = 1 if any(report["violations"] > 0 for report in results) else 0
     return {"command": "falsify", "results": results}, code
 
 
 def _parse_body(spec):
-    """A body from the fields its family's row names, read in the row's order."""
+    """A body from the fields its family's row names, read in the row's order;
+    a field the row does not name is a SpecError."""
     family = spec.get("family", _STR)
     if family not in geometry._FAMILIES:
         raise SpecError(f"unknown body family {family!r}")
-    return geometry.ConvexBody2D(family, **{
-        name: spec.get(name, _int if kind is int else _real, *default)
-        for name, (kind, *default) in geometry._FAMILIES[family].spec.items()})
+    fields = {name: spec.get(name, _int if kind is int else _real, *default)
+              for name, (kind, *default) in geometry._FAMILIES[family].spec.items()}
+    spec.all_read()
+    return geometry.ConvexBody2D(family, **fields)
 
 
 def _functionals(r):
@@ -303,7 +299,7 @@ _GEOMETRY = {
 
 def run_geometry(spec, emit_integrand=False):
     spec = _Reader(spec, "spec")
-    grid = geometry.CircleGrid(spec.section("grid", {}).get("nodes", _int, 256))
+    grid = geometry.CircleGrid(spec.section("grid", {}).last("nodes", _int, 256))
     named = spec.section("bodies", {})
     bodies = {name: _parse_body(named.section(name)) for name in named.data}
     inputs = {"grid": grid, "named": bodies, "emit": emit_integrand}

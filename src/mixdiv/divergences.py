@@ -22,7 +22,8 @@ from .errors import (
     RenyiUndefined,
     SpaceMismatch,
 )
-from .ffunctions import FFunction, FVector, _as_real, adjoint, make_builtin, weighted_terms
+from .ffunctions import (FFunction, FVector, _as_real, _Registry, adjoint, make_builtin,
+                         weighted_terms)
 from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace
 
 
@@ -79,14 +80,14 @@ class _Slots:
         self._memo = {}
 
     @classmethod
-    def evaluate(cls, slots, space: MeasureSpace, terms=None) -> "_Slots":
-        """Slots from (f, p, q) triples via terms(f, p, q) -> (w, hits), by default
-        weighted_terms, after checking each p and q against the space size."""
-        slots, terms, size = list(slots), terms or weighted_terms, space.size
+    def evaluate(cls, slots, space: MeasureSpace) -> "_Slots":
+        """Slots from (f, p, q) triples via weighted_terms, after checking each
+        p and q against the space size."""
+        slots, size = list(slots), space.size
         for _, p, q in slots:
             if len(p) != size or len(q) != size:
                 raise SpaceMismatch("densities do not match the space size")
-        w, hits = zip(*[terms(f, p, q) for f, p, q in slots])
+        w, hits = zip(*[weighted_terms(f, p, q) for f, p, q in slots])
         return cls(w, space, sum(hits))
 
     def value(self, integrand: np.ndarray) -> float:
@@ -131,7 +132,7 @@ class _Slots:
         return self.power((i, 1.0 / self.n) for i in idx)
 
 
-def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf, terms=None) -> _Slots:
+def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf) -> _Slots:
     """Validated slots of D(P, Q): (f_i, p_i, q_i) for i < k, else (f_i*, q_i, p_i)."""
     n = len(fv)
     if len(P) != n or len(Q) != n:
@@ -140,7 +141,7 @@ def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf, te
         (fv[i], P[i].values, Q[i].values) if i < k
         else (adjoint(fv[i]), Q[i].values, P[i].values)
         for i in range(n)
-    ), P.space, terms)
+    ), P.space)
 
 
 def classical_f_divergence(f: FFunction, p: Density, q: Density,
@@ -198,62 +199,11 @@ def _ith_reference(f1, P1, Q1, i, f2, s, n) -> tuple[_Slots, np.ndarray]:
     return slots, scale * slots.power([(0, i / n)])
 
 
-def _kl_qp_terms(_, p: np.ndarray, q: np.ndarray):
-    """weighted_terms for the qp orientation: [p ln(q/p)]_+ per atom, no generator
-    and no convention hits; a zero p atom contributes its limit 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = p * np.log(q / p)
-    return np.maximum(np.where(p == 0.0, 0.0, t), 0.0), 0
-
-
-def named_divergence(
-    family: str, P: DensityBundle, Q: DensityBundle, *, alphas=None, alpha=None,
-    kl_orientation: str = "pq",
-) -> DivergenceReport | float:
-    """Evaluate one of the named mixed families.
-
-    family: "mixed_tv" | "mixed_kl" | "mixed_hellinger" | "mixed_renyi"
-            | "bhattacharyya"
-    kl_orientation: "pq" uses the generator form [p ln(p/q)]_+; "qp" uses
-    the flipped integrand [p ln(q/p)]_+.
-    """
-    n = len(P)
-    if family == "mixed_tv":
-        fv = FVector([make_builtin("tv")] * n)
-        return mixed_f_divergence(fv, P, Q)
-    if family == "mixed_kl":
-        if kl_orientation not in ("pq", "qp"):
-            raise InvalidParameter(f"bad kl_orientation {kl_orientation!r}")
-        fv = FVector([make_builtin("klplus")] * n)
-        slots = _mixed_slots(fv, P, Q, terms=_kl_qp_terms if kl_orientation == "qp" else None)
-        return slots.report(slots.product())
-    if family == "mixed_hellinger":
-        if alphas is None:
-            raise InvalidParameter("mixed_hellinger needs alphas")
-        if not np.iterable(alphas):
-            raise InvalidParameter(f"mixed_hellinger needs a sequence of alphas, got {alphas!r}")
-        fv = FVector([make_builtin("power", alpha=a) for a in alphas])
-        return mixed_f_divergence(fv, P, Q)
-    if family == "bhattacharyya":
-        return named_divergence("mixed_hellinger", P, Q, alphas=[0.5] * n)
-    if family == "mixed_renyi":
-        if alpha is None:
-            raise InvalidParameter("mixed_renyi needs alpha")
-        alpha = make_builtin("power", alpha=alpha).alpha  # a real, as any generator parameter
-        if alpha == 1.0:
-            raise RenyiUndefined("alpha = 1 is outside the Renyi family")
-        hell = named_divergence("mixed_hellinger", P, Q, alphas=[alpha] * n)
-        if hell.value <= 0.0:
-            raise LogOfZero("Hellinger integral vanished; log undefined")
-        return math.log(hell.value) / (alpha - 1.0)
-    raise InvalidParameter(f"unknown divergence family {family!r}")
-
-
 class _Check(NamedTuple):
     """A compute or verify task type: its function and the task's fields in
     the function's argument order, name -> kind: "generator", "generators",
-    "density", "densities", "real", "int", "str", or "space" (no field: the
-    task's space). The `optional` fields, last, are all given or none."""
+    "density", "densities", "real", "reals", "int", "str", or "space" (the
+    task's space, not a field). The `optional` fields, last, are all given or none."""
 
     check: Callable
     fields: dict
@@ -268,10 +218,11 @@ class _Check(NamedTuple):
 
 
 _ONE_PAIR = {"f": "generator", "p": "density", "q": "density", "s": "space"}
-_BUNDLES = {"fs": "generators", "ps": "densities", "qs": "densities"}
+_PS_QS = {"ps": "densities", "qs": "densities"}
+_BUNDLES = {"fs": "generators"} | _PS_QS
 _F12 = {"f1": "generator", "f2": "generator"}
 _PAIR1, _PAIR2 = ({f"p{k}": "density", f"q{k}": "density"} for k in "12")
-# the compute task types but `named`, whose optional fields are independent
+# the compute task types but `named`, which reads its family's row of _NAMED
 _FUNCTIONALS = {
     "classical": _Check(classical_f_divergence, _ONE_PAIR),
     "mixed": _Check(mixed_f_divergence, _BUNDLES),
@@ -280,3 +231,56 @@ _FUNCTIONALS = {
     "ith_reference": _Check(ith_mixed_reference, {"f1": "generator"} | _PAIR1 | {
         "i": "real", "f2": "generator", "s": "space", "n": "int"}),
 }
+
+
+def _uniform(kind: str, P: DensityBundle, Q: DensityBundle, **params) -> DivergenceReport:
+    """The mixed divergence with kind's generator in every slot."""
+    return mixed_f_divergence(FVector([make_builtin(kind, **params)] * len(P)), P, Q)
+
+
+def _mixed_kl(P: DensityBundle, Q: DensityBundle, kl_orientation=None) -> DivergenceReport:
+    """"pq" (the default) sums [p ln(p/q)]_+, klplus's weighted terms; "qp"
+    sums p [ln(q/p)]_+, logplus's weighted terms on the swapped bundles."""
+    if kl_orientation not in (None, "pq", "qp"):
+        raise InvalidParameter(f"bad kl_orientation {kl_orientation!r}")
+    return _uniform("logplus", Q, P) if kl_orientation == "qp" else _uniform("klplus", P, Q)
+
+
+def _mixed_hellinger(P: DensityBundle, Q: DensityBundle, alphas=None) -> DivergenceReport:
+    if not np.iterable(alphas):  # a missing one (None) too
+        raise InvalidParameter(f"mixed_hellinger needs a sequence of alphas, got {alphas!r}")
+    return mixed_f_divergence(FVector([make_builtin("power", alpha=a) for a in alphas]), P, Q)
+
+
+def _mixed_renyi(P: DensityBundle, Q: DensityBundle, alpha=None) -> float:
+    if alpha is None:
+        raise InvalidParameter("mixed_renyi needs alpha")
+    f = make_builtin("power", alpha=alpha)  # alpha a real, as any generator parameter
+    if f.alpha == 1.0:
+        raise RenyiUndefined("alpha = 1 is outside the Renyi family")
+    hell = mixed_f_divergence(FVector([f] * len(P)), P, Q).value
+    if hell <= 0.0:
+        raise LogOfZero("Hellinger integral vanished; log undefined")
+    return math.log(hell) / (f.alpha - 1.0)
+
+
+# each named family is a mixed divergence; its parameter, if any, is an optional field
+_NAMED = _Registry(
+    "divergence family",
+    mixed_tv=_Check(lambda P, Q: _uniform("tv", P, Q), _PS_QS),
+    mixed_kl=_Check(_mixed_kl, _PS_QS | {"kl_orientation": "str"}, ("kl_orientation",)),
+    mixed_hellinger=_Check(_mixed_hellinger, _PS_QS | {"alphas": "reals"}, ("alphas",)),
+    bhattacharyya=_Check(lambda P, Q: _uniform("power", P, Q, alpha=0.5), _PS_QS),
+    mixed_renyi=_Check(_mixed_renyi, _PS_QS | {"alpha": "real"}, ("alpha",)),
+)
+
+
+def named_divergence(family: str, P: DensityBundle, Q: DensityBundle,
+                     **params) -> DivergenceReport | float:
+    """The named family's divergence, by its row of _NAMED: "mixed_tv", "mixed_kl"
+    (kl_orientation "pq" or "qp"), "mixed_hellinger" (alphas), "bhattacharyya" or
+    "mixed_renyi" (alpha; a bare float). A parameter the family does not take is refused."""
+    row = _NAMED.row(family)
+    if not params.keys() <= set(row.optional):
+        raise InvalidParameter(f"{family} takes {list(row.optional)}, got {sorted(params)}")
+    return row.check(P, Q, **params)

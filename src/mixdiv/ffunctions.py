@@ -2,10 +2,10 @@
 
 Each generator is a closed parametric variant so that the *-adjoint
 f*(t) = t f(1/t), the value f(1), and the endpoint limits are exact.
-Supported variants: total variation |t-1|, [t ln t]_+, powers t^alpha,
-nonnegative linear a t + b, nonnegative scalings, and a generic adjoint
-wrapper for variants without a closed-form adjoint. Each variant is one
-entry of the registry _KINDS, which FFunction, make_builtin, adjoint and
+Supported variants: total variation |t-1|, [t ln t]_+, [ln t]_+, powers
+t^alpha, nonnegative linear a t + b, nonnegative scalings, and a generic
+adjoint wrapper for variants without a closed-form adjoint. Each variant is
+one entry of the registry _KINDS, which FFunction, make_builtin, adjoint and
 from_spec read.
 """
 
@@ -25,6 +25,7 @@ STRICTLY_CONVEX = "strictly_convex"
 CONCAVE = "concave"
 STRICTLY_CONCAVE = "strictly_concave"
 LINEAR = "linear"
+NEITHER = "neither"  # neither convex nor concave
 
 _CONVEX_TAGS = {CONVEX, STRICTLY_CONVEX, LINEAR}
 _CONCAVE_TAGS = {CONCAVE, STRICTLY_CONCAVE, LINEAR}
@@ -35,7 +36,7 @@ class FFunction:
     """A tagged generator with exact adjoint bookkeeping.
 
     kind names its family in the generator registry: "tv", "klplus",
-    "power", "linear", "scaled" or "adjoint".
+    "logplus", "power", "linear", "scaled" or "adjoint".
     """
 
     kind: str
@@ -191,6 +192,13 @@ _KINDS = _Registry(
         adjoint=lambda f: FFunction("adjoint", inner=f),
         make=lambda params: FFunction("klplus"),
     ),
+    logplus=_Kind(
+        eval=lambda f, t: np.maximum(np.log(t), 0.0),
+        tag=lambda f: NEITHER, at_one=lambda f: 0.0,
+        at_zero=lambda f: 0.0, slope=lambda f: 0.0,
+        adjoint=lambda f: FFunction("adjoint", inner=f),
+        make=lambda params: FFunction("logplus"),
+    ),
     power=_Kind(
         eval=lambda f, t: t ** f.alpha,
         tag=_power_tag, at_one=lambda f: 1.0,
@@ -229,7 +237,7 @@ _KINDS = _Registry(
 def make_builtin(kind: str, **params) -> FFunction:
     """Construct a validated builtin generator.
 
-    kind: "tv" | "klplus" | "power" (alpha) | "linear" (a, b)
+    kind: "tv" | "klplus" | "logplus" | "power" (alpha) | "linear" (a, b)
           | "scaled" (lam, inner) | "adjoint" (inner)
     """
     return _KINDS.row(kind).make(params)
@@ -292,11 +300,16 @@ def weighted_terms(f: FFunction, p: np.ndarray, q: np.ndarray):
 
 
 def from_spec(spec: dict) -> FFunction:
-    """Parse the JSON generator spec."""
+    """Parse the JSON generator spec; a key its kind does not name is refused."""
     if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
         raise InvalidParameter(f"bad generator spec: {spec!r}")
     kind = spec["kind"]
-    params = {name: spec[key] for key, name in _KINDS[kind].spec.items() if key in spec}
+    keys = _KINDS[kind].spec
+    unknown = spec.keys() - keys.keys() - {"kind"}
+    if unknown:
+        names = ", ".join(sorted(repr(key) for key in unknown))
+        raise InvalidParameter(f"unknown key {names} in {kind!r} generator spec")
+    params = {name: spec[key] for key, name in keys.items() if key in spec}
     if "inner" in params:
         params["inner"] = from_spec(params["inner"])
     return make_builtin(kind, **params)

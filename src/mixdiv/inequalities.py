@@ -175,8 +175,11 @@ def af_check(fv: FVector, P: DensityBundle, Q: DensityBundle, m: int) -> Inequal
 
 def jensen_bound_check(f: FFunction, p: Density, q: Density, s: MeasureSpace) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
+    convex = f.is_convex
+    if not (convex or f.is_concave):
+        raise TagMismatch("jensen bound needs a convex or a concave generator")
     slots = _Slots.evaluate([(f, p.values, q.values)], s)
-    return _bound(slots, slots.value(slots.w[0]), "ge" if f.is_convex else "le",
+    return _bound(slots, slots.value(slots.w[0]), "ge" if convex else "le",
                   [(slots.w[0], 1)], [(f, p, q)])
 
 

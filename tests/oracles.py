@@ -14,6 +14,8 @@ def f_oracle(spec, t):
         return abs(t - 1.0)
     if kind == "klplus":
         return max(t * math.log(t), 0.0)
+    if kind == "logplus":
+        return max(math.log(t), 0.0)
     if kind == "power":
         return t ** spec["alpha"]
     if kind == "linear":

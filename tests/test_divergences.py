@@ -20,6 +20,7 @@ from mixdiv import (
 from mixdiv.errors import (
     DegenerateExponent,
     IndexOutOfRange,
+    InvalidParameter,
     NotProbabilitySpace,
     RenyiUndefined,
 )
@@ -27,7 +28,7 @@ from mixdiv.errors import (
 from mixdiv.falsify import FalsifyConfig, _random_bundles, _random_space
 
 from conftest import random_prob
-from oracles import ith_oracle, k_form_oracle, mixed_oracle
+from oracles import classical_oracle, ith_oracle, k_form_oracle, mixed_oracle
 
 POSITIVE_FS = [
     make_builtin("power", alpha=0.5),
@@ -256,6 +257,31 @@ def test_oracle_equivalence_small_instances(rng):
             )
 
 
+def test_logplus_agrees_with_the_oracles(rng):
+    # [ln t]_+ vanishes where p <= q, so a mixed product is nonzero only on
+    # atoms where every logplus slot has p > q; half the slots are logplus
+    logplus = make_builtin("logplus")
+    nonzero = 0
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        space, fv, P, Q = _random_instance(rng, n, int(rng.integers(2, 6)),
+                                           fs=[logplus] * len(ALL_FS) + ALL_FS)
+        w = [float(x) for x in space.weights]
+        fs = [f.describe() for f in fv]
+        ps = [[float(x) for x in d.values] for d in P]
+        qs = [[float(x) for x in d.values] for d in Q]
+        classical = classical_f_divergence(logplus, P[0], Q[0], space).value
+        assert classical == pytest.approx(
+            classical_oracle(w, {"kind": "logplus"}, ps[0], qs[0]), rel=1e-13, abs=1e-15)
+        got = mixed_f_divergence(fv, P, Q).value
+        assert got == pytest.approx(mixed_oracle(w, fs, ps, qs), rel=1e-13, abs=1e-15)
+        nonzero += got > 0.0
+        for k in range(n + 1):
+            assert mixed_k_form(fv, P, Q, k).value == pytest.approx(
+                k_form_oracle(w, fs, ps, qs, k), rel=1e-13, abs=1e-15)
+    assert nonzero >= 10  # the comparison is not only of zeros
+
+
 def test_ith_against_oracle(rng):
     space = make_space(rng.uniform(0.2, 2.0, 4))
     p1, q1 = random_prob(rng, space), random_prob(rng, space)
@@ -348,8 +374,30 @@ def test_kl_qp_zero_p_atom_contributes_zero():
     Q = DensityBundle(s, (Density([0.3, 0.6, 0.1]), Density([0.25, 0.5, 0.25])))
     # slot terms: (0, 0.2 ln 3, 0) and (0, 0.25 ln 2, 0)
     expected = math.sqrt(0.2 * math.log(3.0) * 0.25 * math.log(2.0))
-    value = named_divergence("mixed_kl", P, Q, kl_orientation="qp").value
-    assert value == pytest.approx(expected, rel=1e-15)
+    report = named_divergence("mixed_kl", P, Q, kl_orientation="qp")
+    assert report.value == pytest.approx(expected, rel=1e-15)
+    # the qp slots are logplus's weighted terms, whose convention serves the one zero atom
+    assert report.convention_hits == 1
+
+
+# each family takes only its own parameter
+FOREIGN_PARAMETERS = [
+    ("mixed_kl", {"alpha": 0.5}),
+    ("mixed_kl", {"alphas": [3.0]}),
+    ("mixed_tv", {"kl_orientation": "qp"}),
+    ("mixed_hellinger", {"alphas": [0.5], "alpha": 0.5}),
+    ("bhattacharyya", {"alphas": [0.5]}),
+    ("mixed_renyi", {"alphas": [0.5]}),
+]
+
+
+@pytest.mark.parametrize("family, params", FOREIGN_PARAMETERS)
+def test_named_divergence_refuses_a_parameter_its_family_does_not_take(counting2, family,
+                                                                       params):
+    P = make_bundle(counting2, [[0.5, 0.5]])
+    Q = make_bundle(counting2, [[0.25, 0.75]])
+    with pytest.raises(InvalidParameter):
+        named_divergence(family, P, Q, **params)
 
 
 # -- mixed Renyi as a classical Renyi divergence plus the geometric-mean masses

@@ -17,6 +17,7 @@ GRID = np.logspace(-6, 6, 1000)
 BUILTINS = [
     make_builtin("tv"),
     make_builtin("klplus"),
+    make_builtin("logplus"),
     make_builtin("power", alpha=0.5),
     make_builtin("power", alpha=2.0),
     make_builtin("power", alpha=-1.0),
@@ -117,6 +118,18 @@ def test_tags():
     assert make_builtin("power", alpha=0).convexity_tag == "linear"
     assert make_builtin("tv").convexity_tag == "convex"
     assert make_builtin("linear", a=1, b=0).convexity_tag == "linear"
+    # [ln t]_+ is flat on (0, 1] and concave beyond: neither
+    logplus = make_builtin("logplus")
+    assert logplus.convexity_tag == "neither"
+    assert not logplus.is_convex and not logplus.is_concave and not logplus.is_strict
+
+
+def test_logplus_limits():
+    f = make_builtin("logplus")
+    assert (f.value_at_one, f.limit_at_zero, f.slope_at_infinity) == (0.0, 0.0, 0.0)
+    assert eval_f(f, math.e) == 1.0 and eval_f(f, 0.5) == 0.0
+    # q * f(p/q) at q = 0 is p * f'(inf) = 0; at p = 0, q * f(0+) = 0
+    assert weighted_term(f, 0.4, 0.0) == 0.0 and weighted_term(f, 0.0, 0.4) == 0.0
 
 
 def test_value_at_one():
@@ -172,6 +185,7 @@ def test_json_spec_round_trip():
     specs = [
         {"kind": "tv"},
         {"kind": "klplus"},
+        {"kind": "logplus"},
         {"kind": "power", "alpha": 0.5},
         {"kind": "linear", "a": 1.0, "b": 0.0},
         {"kind": "scaled", "lambda": 2.0, "inner": {"kind": "power", "alpha": 2.0}},
@@ -204,6 +218,19 @@ def test_scaled_generator_evaluates_at_a_scalar():
 def test_make_builtin_bad_parameters_raise(kind, params):
     with pytest.raises(InvalidParameter):
         make_builtin(kind, **params)
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "linear", "a": 1.0, "B": 0.5}, "'B'"),
+    ({"kind": "power", "alpha": 2, "alpah": 0.5}, "'alpah'"),
+    ({"kind": "tv", "alpha": 2}, "'alpha'"),
+    ({"kind": "scaled", "lambda": 2.0, "lam": 2.0, "inner": {"kind": "tv"}}, "'lam'"),
+    # a nested spec is held to its own kind's keys
+    ({"kind": "adjoint", "inner": {"kind": "linear", "a": 1.0, "B": 0.5}}, "'B'"),
+])
+def test_from_spec_refuses_a_key_its_kind_does_not_name(spec, key):
+    with pytest.raises(InvalidParameter, match=key):
+        from_spec(spec)
 
 
 def test_readme_lists_the_generator_kinds_and_spec_keys():

@@ -27,6 +27,7 @@ from mixdiv import (
     interpolation_check,
     ith_mixed,
     ith_mixed_reference,
+    jensen_bound_check,
     make_builtin,
     make_bundle,
     make_space,
@@ -47,6 +48,7 @@ from mixdiv.errors import (
     NonPositiveWeight,
     NormalizationFailure,
     RangeMismatch,
+    TagMismatch,
     ZeroDensityAtom,
 )
 
@@ -310,6 +312,48 @@ MALFORMED_SPECS = {
     }), "SpecError"),
     "falsify_trials_misspelt": ("falsify", {"tasks": [{"inequality": "af_check", "trails": 5}]},
                                 "SpecError"),
+    # a parameter that the task's family does not take is a field no row reads
+    "mixed_kl_with_alpha": ("compute", _verify_spec({
+        "type": "named", "family": "mixed_kl", "ps": ["p"], "qs": ["q"], "alpha": 0.5,
+    }), "SpecError"),
+    "mixed_tv_with_kl_orientation": ("compute", _verify_spec({
+        "type": "named", "family": "mixed_tv", "ps": ["p"], "qs": ["q"], "kl_orientation": "qp",
+    }), "SpecError"),
+    "mixed_hellinger_with_alpha": ("compute", _verify_spec({
+        "type": "named", "family": "mixed_hellinger", "ps": ["p"], "qs": ["q"], "alphas": [0.5],
+        "alpha": 0.5,
+    }), "SpecError"),
+    # without its own parameter the family refuses to run, before any field is checked
+    "mixed_hellinger_alpha_for_alphas": ("compute", _verify_spec({
+        "type": "named", "family": "mixed_hellinger", "ps": ["p"], "qs": ["q"], "alpha": 0.5,
+    }), "InvalidParameter"),
+    # a key that the generator kind, the spec, its section or its body family does not name
+    "linear_with_B": ("compute", _verify_spec({
+        "type": "classical", "f": {"kind": "linear", "a": 1.0, "B": 0.5}, "p": "p", "q": "q",
+    }), "InvalidParameter"),
+    "inner_power_with_alpah": ("compute", _verify_spec({
+        "type": "classical", "p": "p", "q": "q", "f": {
+            "kind": "scaled", "lambda": 2.0, "inner": {"kind": "power", "alpha": 2, "alpah": 0.5}},
+    }), "InvalidParameter"),
+    "tolerance_singular": ("compute", _verify_spec(
+        {"type": "classical", "f": {"kind": "tv"}, "p": "p", "q": "q"})
+        | {"tolerance": {"norm": 1e-3}}, "SpecError"),
+    "tolerances_with_nrom": ("verify", _verify_spec(
+        {"type": "jensen", "f": {"kind": "tv"}, "p": "p", "q": "q"})
+        | {"tolerances": {"norm": 1e-3, "nrom": 1e-3}}, "SpecError"),
+    "space_with_wieghts": ("verify", _verify_spec(
+        {"type": "jensen", "f": {"kind": "tv"}, "p": "p", "q": "q"})
+        | {"space": {"weights": [1, 1, 1], "wieghts": [1, 1, 1]}}, "SpecError"),
+    "grid_with_node": ("geometry", {"grid": {"node": 300}, "tasks": []}, "SpecError"),
+    "body_with_ph": ("geometry", {
+        "bodies": {"E": {"family": "ellipse", "a": 2, "b": 1, "ph": 0.5}},
+        "tasks": [{"type": "functionals", "body": "E"}],
+    }, "SpecError"),
+    "falsify_spec_with_seed": ("falsify", {"seed": 3, "tasks": [{"inequality": "af_check"}]},
+                               "SpecError"),
+    # [ln t]_+ is neither convex nor concave: Jensen's bound has no direction
+    "jensen_of_logplus": ("verify", _verify_spec(
+        {"type": "jensen", "f": {"kind": "logplus"}, "p": "p", "q": "q"}), "TagMismatch"),
 }
 
 
@@ -323,7 +367,10 @@ def test_malformed_spec_exits_2_with_a_typed_error(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name, field", [("kl_orientation_misspelt", "'kl_orientaton'"),
                                          ("af_with_n", "'n'"),
-                                         ("falsify_trials_misspelt", "'trails'")])
+                                         ("falsify_trials_misspelt", "'trails'"),
+                                         ("mixed_kl_with_alpha", "'alpha'"),
+                                         ("linear_with_B", "'B'"),
+                                         ("inner_power_with_alpah", "'alpah'")])
 def test_an_unread_task_field_is_named_and_no_trial_runs(tmp_path, capsys, monkeypatch, name,
                                                           field):
     monkeypatch.setattr(cli, "run_falsify_trials", lambda *args: pytest.fail("a trial ran"))
@@ -331,6 +378,38 @@ def test_an_unread_task_field_is_named_and_no_trial_runs(tmp_path, capsys, monke
     assert main([command, "--spec", _write(tmp_path, "s.json", payload)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and field in json.loads(err)["message"]
+
+
+class _NoTask(dict):
+    """A task table whose every entry fails the test."""
+
+    def get(self, key, default=None):
+        return lambda r: pytest.fail("a task ran")
+
+
+@pytest.mark.parametrize("name, key", [("tolerance_singular", "'tolerance'"),
+                                       ("tolerances_with_nrom", "'nrom'"),
+                                       ("space_with_wieghts", "'wieghts'"),
+                                       ("grid_with_node", "'node'"),
+                                       ("body_with_ph", "'ph'"),
+                                       ("falsify_spec_with_seed", "'seed'")])
+def test_an_unread_spec_key_is_named_before_any_task_runs(tmp_path, capsys, monkeypatch, name,
+                                                           key):
+    for table in ("_COMPUTE", "_VERIFY", "_GEOMETRY"):
+        monkeypatch.setattr(cli, table, _NoTask())
+    monkeypatch.setattr(cli, "run_falsify_trials", lambda *args: pytest.fail("a trial ran"))
+    command, payload, _ = MALFORMED_SPECS[name]
+    assert main([command, "--spec", _write(tmp_path, "s.json", payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and key in json.loads(err)["message"]
+
+
+def test_jensen_refuses_a_generator_neither_convex_nor_concave(pair):
+    s, p, q = pair
+    with pytest.raises(TagMismatch):
+        jensen_bound_check(make_builtin("logplus"), p, q, s)
+    with pytest.raises(TagMismatch):  # its adjoint carries the same tag
+        jensen_bound_check(from_spec({"kind": "adjoint", "inner": {"kind": "logplus"}}), p, q, s)
 
 
 def test_falsify_negative_seed_raises():

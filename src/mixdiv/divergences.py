@@ -22,8 +22,8 @@ from .errors import (
     RenyiUndefined,
     SpaceMismatch,
 )
-from .ffunctions import (FFunction, FVector, _as_real, _Registry, adjoint, make_builtin,
-                         weighted_terms)
+from .ffunctions import (FFunction, FVector, _as_real, _positive, _Registry, adjoint,
+                         make_builtin, weighted_terms)
 from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace
 
 
@@ -60,16 +60,30 @@ def _ith_params(i, n) -> float:
     return _as_real(i, "i")
 
 
+def _fourth_root(w: np.ndarray) -> np.ndarray:
+    t = np.sqrt(w)
+    return np.sqrt(t, out=t)
+
+
+# w ** e for the roots e = 1/n of n = 2, 3, 4 slots, by numpy's exact and fast
+# root functions instead of its pow; keyed on the exponent's value
+_ROOTS = {0.5: np.sqrt, 1.0 / 3.0: np.cbrt, 0.25: _fourth_root}
+
+
 class _Slots:
     """The per-atom integrands w_i of one call's n slots, each evaluated once,
     on one space, with the 0*inf convention hits of their evaluation.
 
-    Every integrand is an ordered product of powers w_i ** e (`power`). Roots
+    `w` holds the integrands as the rows of one (n, atoms) block. Every
+    integrand is an ordered product of powers w_i ** e (`power`). Roots
     (e = 1/n) recur across products and are kept for the call. `product(idx)`
     is the per-atom geometric mean prod_{i in idx} w_i^(1/n) over any n slot
     indices (repeats allowed). Factors are multiplied in slot order, as numpy's
-    axis-0 product of a stacked (n, atoms) array does, so the result matches
-    prod(stack ** (1/n), 0) bit for bit.
+    axis-0 product of a stacked (n, atoms) array does. A power w_i ** e is
+    taken by `_ROOTS` for e = 1/2, 1/3 and 1/4 (sqrt, cbrt, sqrt twice), and
+    by numpy's ** for every other e; so products of roots for n = 3 and 4
+    differ in their last bits from prod(stack ** (1/n), 0), which rounds the
+    exponent 1/3 and takes pow.
     """
 
     def __init__(self, terms, space: MeasureSpace, hits: int = 0):
@@ -81,13 +95,14 @@ class _Slots:
 
     @classmethod
     def evaluate(cls, slots, space: MeasureSpace) -> "_Slots":
-        """Slots from (f, p, q) triples via weighted_terms, after checking each
-        p and q against the space size."""
+        """Slots from (f, p, q) triples via weighted_terms, written into the
+        rows of one block, after checking each p and q against the space size."""
         slots, size = list(slots), space.size
         for _, p, q in slots:
             if len(p) != size or len(q) != size:
                 raise SpaceMismatch("densities do not match the space size")
-        w, hits = zip(*[weighted_terms(f, p, q) for f, p, q in slots])
+        block = np.empty((len(slots), size))
+        w, hits = zip(*[weighted_terms(f, p, q, block[k]) for k, (f, p, q) in enumerate(slots)])
         return cls(w, space, sum(hits))
 
     def value(self, integrand: np.ndarray) -> float:
@@ -101,13 +116,25 @@ class _Slots:
         return DivergenceReport(self.value(integrand), integrand, self.hits)
 
     def _term(self, i: int, e: float) -> np.ndarray:
-        """w_i ** e; DegenerateExponent for a zero factor under a negative e."""
+        """w_i ** e; DegenerateExponent for a zero factor under a negative e.
+
+        numpy's pow is slow on exact zeros, so a slot with one is powered
+        through a positive stand-in, 1 at each zero, whose power is set back
+        to 0 there: bit for bit w_i ** e. A root needs no stand-in."""
         t = self._memo.get((i, e))
         if t is None:
-            w = self.w[i]
-            if e < 0.0 and (w == 0.0).any():
-                raise DegenerateExponent("zero integrand factor raised to a negative power")
-            t = w ** e
+            w, root = self.w[i], _ROOTS.get(e)
+            if root is not None:
+                t = root(w)
+            elif _positive(w):
+                t = w ** e
+            else:
+                zero = w == 0.0
+                if e < 0.0 and zero.any():
+                    raise DegenerateExponent("zero integrand factor raised to a negative power")
+                t = w + zero
+                t **= e
+                np.copyto(t, 0.0, where=zero)
             if e == 1.0 / self.n:  # other powers are used once: not held
                 self._memo[i, e] = t
         return t
@@ -137,6 +164,8 @@ def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf) ->
     n = len(fv)
     if len(P) != n or len(Q) != n:
         raise LengthMismatch("generator vector and bundles must share one length")
+    if Q.space is not P.space and not np.array_equal(Q.space.weights, P.space.weights):
+        raise SpaceMismatch("bundles P and Q lie on different spaces")
     return _Slots.evaluate((
         (fv[i], P[i].values, Q[i].values) if i < k
         else (adjoint(fv[i]), Q[i].values, P[i].values)

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidParameter,
     LengthMismatch,
     NonPositiveWeight,
     NormalizationFailure,
+    SpaceMismatch,
     ZeroDensityAtom,
 )
 
@@ -145,11 +147,15 @@ class DensityBundle:
     densities: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not isinstance(self.space, MeasureSpace):
+            raise SpaceMismatch(f"a bundle needs a MeasureSpace, got {self.space!r}")
         ds = tuple(self.densities)
         object.__setattr__(self, "densities", ds)
         if len(ds) < 1:
             raise LengthMismatch("a bundle needs at least one density")
         for d in ds:
+            if not isinstance(d, Density):
+                raise InvalidParameter(f"a bundle member must be a Density, got {d!r}")
             if len(d) != self.space.size:
                 raise LengthMismatch("bundle member does not match the space size")
 

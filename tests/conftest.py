@@ -31,6 +31,18 @@ def random_prob(rng, space):
     return Density(v / float(np.dot(v, space.weights)))
 
 
+def slot_power(w, e):
+    """w ** e as the slot kernel forms it: by np.sqrt for e = 1/2, np.sqrt
+    twice for e = 1/4 and np.cbrt for e = 1/3, and by ** for any other e."""
+    if e == 0.5:
+        return np.sqrt(w)
+    if e == 0.25:
+        return np.sqrt(np.sqrt(w))
+    if e == 1.0 / 3.0:
+        return np.cbrt(w)
+    return w ** e
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)

@@ -29,12 +29,13 @@ from mixdiv import (
 from mixdiv.errors import RangeMismatch
 from mixdiv.ffunctions import adjoint, weighted_terms
 
-from conftest import random_prob
+from conftest import random_prob, slot_power
 
 
 def stacked_geometric_product(factors, n):
-    """prod_i factors[i]^(1/n) per atom over a stacked array."""
-    return np.prod(np.stack(factors) ** (1.0 / n), axis=0)
+    """prod_i factors[i]^(1/n) per atom over a stacked array, each root
+    taken by the kernel's rule."""
+    return np.prod(slot_power(np.stack(factors), 1.0 / n), axis=0)
 
 
 def stacked_mixed(fv, P, Q):
@@ -195,7 +196,7 @@ def test_interpolation_sides_match_ith_mixed(rng, f2):
 def test_factor_decomposition_matches_stacked_roots(rng):
     for fv, P, Q in _all_cases(rng):
         n = len(fv)
-        roots = [weighted_terms(fv[i], P[i].values, Q[i].values)[0] ** (1.0 / n)
+        roots = [slot_power(weighted_terms(fv[i], P[i].values, Q[i].values)[0], 1.0 / n)
                  for i in range(n)]
         for m in range(1, n + 1):
             g0 = np.prod(np.stack(roots[: n - m]), axis=0) if m < n else np.ones(P.space.size)
@@ -215,9 +216,9 @@ def test_factor_decomposition_rejects_m_outside_0_to_n(rng, m):
 def test_af_check_evaluates_each_slot_once(rng, monkeypatch):
     calls = []
 
-    def counting(f, p, q):
+    def counting(f, p, q, out=None):
         calls.append(f)
-        return weighted_terms(f, p, q)
+        return weighted_terms(f, p, q, out)
 
     monkeypatch.setattr(divergences, "weighted_terms", counting)
     fv, P, Q = _instance(rng, [make_builtin("power", alpha=a) for a in (1.5, 2.0, 2.5, 3.0)])

@@ -19,6 +19,7 @@ from mixdiv import (
     FalsifyConfig,
     af_check,
     apply_linear_map,
+    concave_chain_check,
     corollary_bound_check,
     ellipse,
     factor_decomposition,
@@ -32,6 +33,7 @@ from mixdiv import (
     make_bundle,
     make_space,
     mixed_body_divergence,
+    mixed_f_divergence,
     mixed_k_form,
     named_divergence,
     probability_density,
@@ -48,6 +50,7 @@ from mixdiv.errors import (
     NonPositiveWeight,
     NormalizationFailure,
     RangeMismatch,
+    SpaceMismatch,
     TagMismatch,
     ZeroDensityAtom,
 )
@@ -501,6 +504,8 @@ P_HALF, Q_HALF = Density([0.8, 1.2]), Density([1.5, 0.5])
 ROOT = make_builtin("power", alpha=0.5)
 ROOTS = FVector([ROOT, ROOT])
 P_PAIR, Q_PAIR = DensityBundle(HALVES, (P_HALF, Q_HALF)), DensityBundle(HALVES, (Q_HALF, P_HALF))
+# Q_PAIR's densities on a space of as many atoms, whose weights differ from HALVES'
+Q_ON_FIVES = DensityBundle(make_space([5.0, 5.0]), Q_PAIR.densities)
 
 TYPED_RAISES = {
     # ill-typed names and configs, refused where they enter
@@ -542,6 +547,18 @@ TYPED_RAISES = {
     "normalize_zero_mass": (lambda: probability_density([0.0, 0.0], HALVES, normalize=True),
                             NormalizationFailure),
     "empty_bundle": (lambda: DensityBundle(HALVES, ()), LengthMismatch),
+    # containers refuse what they cannot hold where they are built
+    "bundle_member_list": (lambda: DensityBundle(HALVES, ([0.5, 0.5],)), InvalidParameter),
+    "bundle_space_list": (lambda: DensityBundle([1.0, 1.0], (P_HALF,)), SpaceMismatch),
+    "fvector_entry_string": (lambda: FVector(["tv"]), InvalidParameter),
+    # P and Q bundles on two spaces whose weights differ
+    "mixed_f_divergence_spaces_differ": (lambda: mixed_f_divergence(ROOTS, P_PAIR, Q_ON_FIVES),
+                                         SpaceMismatch),
+    "mixed_k_form_spaces_differ": (lambda: mixed_k_form(ROOTS, P_PAIR, Q_ON_FIVES, 1),
+                                   SpaceMismatch),
+    "af_check_spaces_differ": (lambda: af_check(ROOTS, P_PAIR, Q_ON_FIVES, 1), SpaceMismatch),
+    "concave_chain_check_spaces_differ": (lambda: concave_chain_check(ROOTS, P_PAIR, Q_ON_FIVES),
+                                          SpaceMismatch),
     # values that numpy cannot read as reals, refused by the class they enter
     "string_weights": (lambda: make_space("ab"), NonPositiveWeight),
     "ragged_weights": (lambda: make_space([[1], [1, 2]]), NonPositiveWeight),
@@ -561,6 +578,18 @@ TYPED_RAISES = {
 def test_a_bad_input_raises_its_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_bundles_on_two_spaces_of_equal_weights_are_on_one_space():
+    """Only the weights are compared: a second MeasureSpace object with
+    HALVES' weights is the same space, and D_tv stays symmetric."""
+    tv = FVector([make_builtin("tv")] * 2)
+    copy = DensityBundle(make_space([0.5, 0.5]), Q_PAIR.densities)
+    value = mixed_f_divergence(tv, P_PAIR, Q_PAIR).value
+    assert mixed_f_divergence(tv, P_PAIR, copy).value == value
+    assert mixed_f_divergence(tv, copy, P_PAIR).value == value
+    with pytest.raises(SpaceMismatch):
+        mixed_f_divergence(tv, Q_ON_FIVES, P_PAIR)
 
 
 @pytest.mark.parametrize("second", [{"P2": Density([1.0, 1.0]), "Q2": P_HALF}, {"P2": P_HALF},

@@ -20,6 +20,8 @@ from mixdiv import (
 from mixdiv.errors import DomainError, IndeterminateValue
 from mixdiv.ffunctions import adjoint, weighted_term, weighted_terms
 
+from conftest import slot_power
+
 SPACE = make_space([0.5, 1.0, 1.5, 0.75, 1.25])
 W = SPACE.weights
 
@@ -86,7 +88,7 @@ def test_ith_mixed_powers_the_per_atom_terms(i):
     report = ith_mixed(f1, f2, ZERO_P[0], POSITIVE[0], POSITIVE[1], ZERO_Q[1], i, n, SPACE)
     t1 = _terms(f1, ZERO_P[0], POSITIVE[0])
     t2 = _terms(f2, POSITIVE[1], ZERO_Q[1])
-    assert np.array_equal(report.integrand, t1 ** (i / n) * t2 ** ((n - i) / n))
+    assert np.array_equal(report.integrand, slot_power(t1, i / n) * slot_power(t2, (n - i) / n))
     assert report.value == float(np.dot(report.integrand, W))
     assert report.convention_hits == _zeros(ZERO_P[0], ZERO_Q[1])
 

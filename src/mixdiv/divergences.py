@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ffunctions import (FFunction, FVector, _as_real, _positive, _Registry, adjoint,
                          make_builtin, weighted_terms)
-from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace
+from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace, _measure_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,7 @@ class _Slots:
     def evaluate(cls, slots, space: MeasureSpace) -> "_Slots":
         """Slots from (f, p, q) triples via weighted_terms, written into the
         rows of one block, after checking each p and q against the space size."""
-        slots, size = list(slots), space.size
+        slots, size = list(slots), _measure_space(space).size
         for _, p, q in slots:
             if len(p) != size or len(q) != size:
                 raise SpaceMismatch("densities do not match the space size")
@@ -221,8 +221,9 @@ def ith_mixed_reference(f1: FFunction, P1: Density, Q1: Density, i: float, f2: F
 def _ith_reference(f1, P1, Q1, i, f2, s, n) -> tuple[_Slots, np.ndarray]:
     """The pair's slot and the reference-form integrand, for i and n that
     _ith_params has read."""
-    if abs(s.total_mass - 1.0) > TOL_NORM * max(1.0, s.total_mass):
-        raise NotProbabilitySpace(f"total mass {s.total_mass} != 1")
+    mass = _measure_space(s).total_mass
+    if abs(mass - 1.0) > TOL_NORM * max(1.0, mass):
+        raise NotProbabilitySpace(f"total mass {mass} != 1")
     slots = _Slots.evaluate([(f1, P1.values, Q1.values)], s)
     scale = _power(f2.value_at_one, 1.0 - i / n)
     return slots, scale * slots.power([(0, i / n)])

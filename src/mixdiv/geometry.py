@@ -113,11 +113,14 @@ class ConvexBody2D:
                 raise InvalidParameter(message)
 
     def support_derivatives(self, theta):
-        """(h, h', h'') evaluated analytically, with h'' = f - h."""
+        """(h, h', h'') evaluated analytically, with h'' = f - h, in the shape
+        of theta."""
         row = _FAMILIES[self.family]
-        mt = row.frequency(self) * np.asarray(theta, dtype=float)
-        h, hp, f = row.kernel(self, np.cos(mt), np.sin(mt))
-        return h, hp, f - h
+        # at least 1-d: the kernel writes with out=, which a numpy scalar does not take
+        mt = row.frequency(self) * np.atleast_1d(np.asarray(theta, dtype=float))
+        c, s = np.cos(mt), np.sin(mt)
+        h, f = row.kernel(self, c, s)
+        return tuple(x.reshape(np.shape(theta))[()] for x in (h, row.slope(self, c, s, h), f - h))
 
 
 class _Family(NamedTuple):
@@ -125,21 +128,37 @@ class _Family(NamedTuple):
 
     checks: tuple  # (K -> bool, message) pairs, in order; a False raises InvalidParameter
     frequency: Callable  # K -> m, with h a function of cos m*theta and sin m*theta
-    kernel: Callable  # (K, cos m*theta, sin m*theta) -> (h, h', f = h + h'')
+    kernel: Callable  # (K, cos m*theta, sin m*theta) -> (h, f = h + h''); c, s stay unwritten
+    slope: Callable  # (K, cos m*theta, sin m*theta, h) -> h'
     linear_map: Optional[Callable]  # (K, T) -> the image of K; None: not closed under maps
     spec: dict  # field -> (type,) or (type, default), in the order a spec is read
 
 
 def _ellipse_kernel(K: ConvexBody2D, c, s):
+    """h^2 = lo^2 + (hi^2 - lo^2) x^2 for semi-axes lo <= hi, with x = cos u
+    when a >= b, else sin u (u = theta - phi): every term is nonnegative, so
+    nothing cancels on eccentric ellipses. f = (ab)^2/h^3 in closed form, as
+    h + h'' cancels there, taken as (ab)^2/(h^2 h) from the pre-root h^2.
+    Both are formed in place in two block temporaries."""
     cp, sp = math.cos(K.phi), math.sin(K.phi)
-    # u = theta - phi; h^2 = a^2 cos^2 u + b^2 sin^2 u
-    cu = c * cp + s * sp
-    su = s * cp - c * sp
-    h = np.sqrt(K.a ** 2 * (cu * cu) + K.b ** 2 * (su * su))
-    # (h^2)'/2 = (b^2 - a^2) sin u cos u; f = (ab)^2/h^3 in closed form, as
-    # h + h'' cancels on eccentric ellipses
-    hp = (K.b ** 2 - K.a ** 2) * su * cu / h
-    return h, hp, (K.a * K.b) ** 2 / (h * h * h)
+    # cos u = c cp + s sp; sin u = s cp - c sp
+    u, v, sp = (c, s, sp) if K.a >= K.b else (s, c, -sp)
+    lo, hi = sorted((K.a, K.b))
+    x = np.multiply(u, cp)
+    t = np.multiply(v, sp)
+    x += t  # cos u or sin u
+    x *= x
+    x *= hi ** 2 - lo ** 2
+    x += lo ** 2  # h^2
+    h = np.sqrt(x, out=t)
+    x *= h  # h^3
+    return h, np.divide((K.a * K.b) ** 2, x, out=x)
+
+
+def _ellipse_slope(K: ConvexBody2D, c, s, h):
+    """h' = (h^2)'/(2h) = (b^2 - a^2) sin u cos u / h."""
+    cp, sp = math.cos(K.phi), math.sin(K.phi)
+    return (K.b ** 2 - K.a ** 2) * (s * cp - c * sp) * (c * cp + s * sp) / h
 
 
 def _map_ellipse(K: ConvexBody2D, T: np.ndarray) -> ConvexBody2D:
@@ -162,7 +181,8 @@ _FAMILIES = _Registry(
                 (lambda K: _H_LO <= min(K.a, K.b) and max(K.a, K.b) <= _H_HI
                  and _TINY ** 0.5 <= K.a * K.b <= _HUGE ** 0.5,
                  "ellipse h^3, h^-2 or (ab)^2 would leave the float range")),
-        frequency=lambda K: 1, kernel=_ellipse_kernel, linear_map=_map_ellipse,
+        frequency=lambda K: 1, kernel=_ellipse_kernel, slope=_ellipse_slope,
+        linear_map=_map_ellipse,
         spec={"a": (float,), "b": (float,), "phi": (float, 0.0)},
     ),
     # h = 1 + eps cos(k t); |eps|(k^2 - 1) < 1 keeps the curvature h + h'' positive
@@ -172,8 +192,8 @@ _FAMILIES = _Registry(
                 (lambda K: abs(K.eps) * (K.k ** 2 - 1) < 1,
                  "trigball needs |eps|(k^2 - 1) < 1 for positive curvature")),
         frequency=lambda K: int(K.k), linear_map=None,
-        kernel=lambda K, c, s: (1.0 + K.eps * c, -K.eps * K.k * s,
-                                1.0 + K.eps * (1 - K.k ** 2) * c),
+        kernel=lambda K, c, s: (1.0 + K.eps * c, 1.0 + K.eps * (1 - K.k ** 2) * c),
+        slope=lambda K, c, s, h: -K.eps * K.k * s,
         spec={"eps": (float,), "k": (int,)},
     ),
 )
@@ -192,24 +212,25 @@ def unit_disk() -> ConvexBody2D:
 
 
 def _stream(K: ConvexBody2D, grid: CircleGrid):
-    """Yield (slice, h, h', f) over the grid's blocks; NotC2Plus unless h and f
-    are positive (a NaN fails too)."""
+    """Yield (slice, (cos m*theta, sin m*theta), h, f) over the grid's blocks;
+    NotC2Plus unless h and f are positive (a NaN fails too)."""
     row = _FAMILIES[K.family]
     for block, c, s in grid._blocks(row.frequency(K)):
-        h, hp, f = row.kernel(K, c, s)
-        if not ((h > 0).all() and (f > 0).all()):
+        h, f = row.kernel(K, c, s)
+        if not (h.min() > 0 and f.min() > 0):
             raise NotC2Plus("support or curvature function is not positive on the grid")
-        yield block, h, hp, f
+        yield block, (c, s), h, f
 
 
 def body_eval(K: ConvexBody2D, grid: CircleGrid) -> dict:
     """Per-node h, h', h'' and the curvature function f = h + h'', filled
     block by block."""
+    slope = _FAMILIES[K.family].slope
     # rows of one allocation: separately freed full-size arrays go back to the
     # OS, and the next call faults their pages in again
     ev = dict(zip(("h", "hp", "hpp", "f"), np.empty((4, grid.node_count))))
-    for block, h, hp, f in _stream(K, grid):
-        ev["h"][block], ev["hp"][block], ev["f"][block] = h, hp, f
+    for block, (c, s), h, f in _stream(K, grid):
+        ev["h"][block], ev["hp"][block], ev["f"][block] = h, slope(K, c, s, h), f
         np.subtract(f, h, out=ev["hpp"][block])
     return ev
 
@@ -222,16 +243,39 @@ class BodyFunctionals:
     affine_surface_area: float
 
 
+# block integrands (h, f, t) -> values, formed in the reused block temporary t
+def _hf(h, f, t):
+    return np.multiply(h, f, out=t)
+
+
+def _h_2(h, f, t):
+    return np.divide(1.0, np.multiply(h, h, out=t), out=t)
+
+
+def _f(h, f, t):
+    return f
+
+
+def _f_23(h, f, t):
+    return np.cbrt(np.multiply(f, f, out=t), out=t)
+
+
+def _integrals(K: ConvexBody2D, grid: CircleGrid, integrands) -> list:
+    """The trapezoid sums of the integrands over one stream of K, block by
+    block; no full-size array is built."""
+    sums = np.zeros(len(integrands))
+    w = grid.weights
+    t = np.empty(min(_BLOCK, grid.node_count))
+    for block, _, h, f in _stream(K, grid):
+        tb, wb = t[: block.stop - block.start], w[block]
+        sums += [np.dot(g(h, f, tb), wb) for g in integrands]
+    return sums.tolist()
+
+
 def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
     """|K| = (1/2) int h f, |K*| = (1/2) int h^-2, |dK| = int f and
-    as(K) = int f^(2/3), summed block by block."""
-    sums = np.zeros(4)
-    w = grid.weights
-    for block, h, _, f in _stream(K, grid):
-        wb = w[block]
-        sums += (np.dot(h * f, wb), np.dot(1.0 / (h * h), wb),
-                 np.dot(f, wb), np.dot(np.cbrt(f * f), wb))
-    hf, h_2, length, asa = sums.tolist()
+    as(K) = int f^(2/3)."""
+    hf, h_2, length, asa = _integrals(K, grid, (_hf, _h_2, _f, _f_23))
     return BodyFunctionals(0.5 * hf, 0.5 * h_2, length, asa)
 
 
@@ -242,7 +286,7 @@ def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]
     two rows are checked as one block."""
     pq = np.empty((2, grid.node_count))
     p, q = pq
-    for block, h, _, f in _stream(K, grid):
+    for block, _, h, f in _stream(K, grid):
         np.divide(1.0, np.multiply(h, h, out=p[block]), out=p[block])
         np.multiply(f, h, out=q[block])
     p /= np.dot(p, grid.weights)
@@ -293,7 +337,7 @@ def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
 def isoperimetric_check(K: ConvexBody2D, grid: CircleGrid) -> InequalityVerdict:
     """Boundary length dominates affine surface area:
     |dK|/(2 pi) >= (as(K)/(2 pi))^(3/2), equality exactly for disks."""
-    fn = body_functionals(K, grid)
-    lhs = fn.boundary_length / (2.0 * math.pi)
-    rhs = (fn.affine_surface_area / (2.0 * math.pi)) ** 1.5
+    length, asa = _integrals(K, grid, (_f, _f_23))
+    lhs = length / (2.0 * math.pi)
+    rhs = (asa / (2.0 * math.pi)) ** 1.5
     return _verdict(lhs, rhs, "ge")

@@ -29,7 +29,7 @@ from .divergences import (
     _mixed_slots, _power, _Slots,
 )
 from .ffunctions import LINEAR, FFunction, FVector, _as_real
-from .measures import Density, DensityBundle, MeasureSpace
+from .measures import Density, DensityBundle, MeasureSpace, _measure_space
 
 TOL_INEQ = 1e-10
 TOL_EQ = 1e-8
@@ -71,7 +71,8 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    if g.size != s.size or h.size != s.size:
+    size = _measure_space(s).size
+    if g.size != size or h.size != size:
         raise LengthMismatch("vectors do not match the space size")
     if np.all(np.abs(g) <= PROP_TOL) or np.all(np.abs(h) <= PROP_TOL):
         return {"proportional": True, "ratio": None}

@@ -52,6 +52,13 @@ class MeasureSpace:
         return float(np.dot(np.asarray(values, dtype=float), self.weights))
 
 
+def _measure_space(s) -> MeasureSpace:
+    """s itself, where a space enters; SpaceMismatch unless it is a MeasureSpace."""
+    if not isinstance(s, MeasureSpace):
+        raise SpaceMismatch(f"need a MeasureSpace, got {s!r}")
+    return s
+
+
 def make_space(weights) -> MeasureSpace:
     """Build a validated MeasureSpace from a sequence of positive weights."""
     return MeasureSpace(weights)
@@ -109,7 +116,7 @@ def validate_density(
 
     Idempotent and side-effect free: the density is never modified.
     """
-    if len(d) != s.size:
+    if len(d) != _measure_space(s).size:
         raise LengthMismatch(
             f"density has {len(d)} entries, space has {s.size} atoms"
         )
@@ -147,8 +154,7 @@ class DensityBundle:
     densities: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not isinstance(self.space, MeasureSpace):
-            raise SpaceMismatch(f"a bundle needs a MeasureSpace, got {self.space!r}")
+        _measure_space(self.space)
         ds = tuple(self.densities)
         object.__setattr__(self, "densities", ds)
         if len(ds) < 1:
@@ -170,6 +176,7 @@ class DensityBundle:
 
 
 def make_bundle(space: MeasureSpace, vectors, *, validate: bool = True) -> DensityBundle:
+    _measure_space(space)
     ds = []
     for v in vectors:
         d = v if isinstance(v, Density) else Density(v)

@@ -15,8 +15,10 @@ from mixdiv.geometry import (
     ConvexBody2D,
     apply_linear_map,
     body_densities,
+    body_eval,
     body_functionals,
     ellipse,
+    isoperimetric_check,
     trigball,
 )
 
@@ -36,7 +38,8 @@ def test_a_family_added_as_one_row_reaches_geometry_and_the_cli(tmp_path, capsys
     disk = geometry._Family(
         checks=((lambda K: K.a > 0, "disk radius must be positive"),),
         frequency=lambda K: 1,
-        kernel=lambda K, c, s: (np.full_like(c, K.a), np.zeros_like(s), np.full_like(c, K.a)),
+        kernel=lambda K, c, s: (np.full_like(c, K.a), np.full_like(c, K.a)),
+        slope=lambda K, c, s, h: np.zeros_like(s),
         linear_map=None, spec={"a": (float,)},
     )
     monkeypatch.setitem(geometry._FAMILIES, "disk", disk)
@@ -53,21 +56,28 @@ def test_a_family_added_as_one_row_reaches_geometry_and_the_cli(tmp_path, capsys
         apply_linear_map(ConvexBody2D("disk", a=2.0), np.eye(2))
 
 
-@pytest.mark.parametrize("curvature", [
-    lambda c: c,  # negative on half the circle
-    lambda c: np.where(c > 0.5, np.nan, 1.0),
-], ids=["negative", "nan"])
+def _one(c):
+    return np.ones_like(c)
+
+
+@pytest.mark.parametrize("support, curvature", [
+    (_one, lambda c: c),  # curvature negative on half the circle
+    (_one, lambda c: np.where(c > 0.5, np.nan, 1.0)),
+    (lambda c: c, _one),  # support negative on half the circle
+    (lambda c: np.where(c > 0.5, np.nan, 1.0), _one),
+], ids=["negative", "nan", "negative_support", "nan_support"])
 def test_a_body_whose_curvature_is_not_positive_is_refused(tmp_path, capsys, monkeypatch,
-                                                           curvature):
-    # h = 1 and h' = 0, with a curvature f that the row gets wrong on some nodes
+                                                           support, curvature):
+    # h' = 0, with an h or a curvature f that the row gets wrong on some nodes
     bad = geometry._Family(
         checks=(), frequency=lambda K: 1,
-        kernel=lambda K, c, s: (np.ones_like(c), np.zeros_like(s), curvature(c)),
+        kernel=lambda K, c, s: (support(c), curvature(c)),
+        slope=lambda K, c, s, h: np.zeros_like(s),
         linear_map=None, spec={},
     )
     monkeypatch.setitem(geometry._FAMILIES, "bad", bad)
     K, grid = ConvexBody2D("bad"), CircleGrid(256)
-    for call in (body_functionals, body_densities):
+    for call in (body_functionals, body_densities, isoperimetric_check, body_eval):
         with pytest.raises(NotC2Plus):
             call(K, grid)
     code, out, err = _geometry(tmp_path, capsys, {"family": "bad"})

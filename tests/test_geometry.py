@@ -36,10 +36,13 @@ def test_grid_weights_sum():
 
 
 def test_disk_support_constant():
+    # h^2 = 1 + 0 x^2 and f = 1/(1 * 1): exact on every node and at any angle
     ev = body_eval(unit_disk(), GRID)
-    assert np.allclose(ev["h"], 1.0)
-    assert np.allclose(ev["hpp"], 0.0, atol=1e-12)
-    assert np.allclose(ev["f"], 1.0)
+    for key, value in (("h", 1.0), ("hp", 0.0), ("hpp", 0.0), ("f", 1.0)):
+        assert np.all(ev[key] == value), key
+    theta = np.linspace(-7.0, 7.0, 101)
+    for x, value in zip(unit_disk().support_derivatives(theta), (1.0, 0.0, 0.0)):
+        assert np.all(x == value)
 
 
 def test_trigball_curvature_formula():
@@ -282,7 +285,8 @@ def test_body_eval_matches_support_derivatives(K):
         assert np.max(np.abs(ev[key] - x)) <= 1e-11 * max(1.0, np.max(np.abs(x)))
 
 
-def test_body_densities_evaluates_the_body_once(monkeypatch):
+@pytest.mark.parametrize("call", [body_densities, body_functionals, isoperimetric_check])
+def test_body_densities_evaluates_the_body_once(monkeypatch, call):
     import mixdiv.geometry as geometry
 
     calls, stream = [], geometry._stream
@@ -292,7 +296,7 @@ def test_body_densities_evaluates_the_body_once(monkeypatch):
         return stream(K, grid)
 
     monkeypatch.setattr(geometry, "_stream", counting)
-    body_densities(ellipse(2.0, 0.5), GRID)
+    call(ellipse(2.0, 0.5), GRID)
     assert len(calls) == 1
 
 
@@ -395,23 +399,26 @@ def test_body_densities_allocates_only_its_pair(K):
     assert peak < 3 * 8 * grid.node_count
 
 
-@pytest.mark.parametrize("K", [ellipse(100.0, 0.01), ellipse(2.0, 0.5, 5.9)])
+@pytest.mark.parametrize("K", [ellipse(100.0, 0.01), ellipse(0.01, 100.0), ellipse(2.0, 0.5, 5.9),
+                               ellipse(0.5, 2.0, 5.9)])
 def test_closed_form_curvature_matches_mpmath(K):
     mpmath = pytest.importorskip("mpmath")
     grid = CircleGrid(1024)
-    f = body_eval(K, grid)["f"]
+    ev = body_eval(K, grid)
     with mpmath.workdps(40):
         a, b, d = mpmath.mpf(K.a), mpmath.mpf(K.b), mpmath.mpf(K.b) ** 2 - mpmath.mpf(K.a) ** 2
-        ref = []
+        ref_h, ref_f = [], []
         for theta in grid.nodes:
             u = mpmath.mpf(float(theta)) - mpmath.mpf(K.phi)
             cu, su = mpmath.cos(u), mpmath.sin(u)
             h = mpmath.sqrt(a ** 2 * cu ** 2 + b ** 2 * su ** 2)
             hp = d * su * cu / h
+            ref_h.append(float(h))
             # f = h + h'' from (h^2)''/2 = h h'' + h'^2 = d (cos^2 u - sin^2 u)
-            ref.append(float(h + (d * (cu ** 2 - su ** 2) - hp ** 2) / h))
-    ref = np.array(ref)
-    assert np.max(np.abs(f - ref) / ref) <= 1e-14
+            ref_f.append(float(h + (d * (cu ** 2 - su ** 2) - hp ** 2) / h))
+    for key, ref, bound in (("h", ref_h, 1e-15), ("f", ref_f, 1e-14)):
+        ref = np.array(ref)
+        assert np.max(np.abs(ev[key] - ref) / ref) <= bound, key
 
 
 # -- typed validation of geometry inputs -------------------------------------

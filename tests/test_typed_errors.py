@@ -19,8 +19,10 @@ from mixdiv import (
     FalsifyConfig,
     af_check,
     apply_linear_map,
+    classical_f_divergence,
     concave_chain_check,
     corollary_bound_check,
+    effective_proportionality,
     ellipse,
     factor_decomposition,
     falsify,
@@ -550,6 +552,18 @@ TYPED_RAISES = {
     # containers refuse what they cannot hold where they are built
     "bundle_member_list": (lambda: DensityBundle(HALVES, ([0.5, 0.5],)), InvalidParameter),
     "bundle_space_list": (lambda: DensityBundle([1.0, 1.0], (P_HALF,)), SpaceMismatch),
+    # a space that is not a MeasureSpace, refused where it enters
+    "make_bundle_space_list": (lambda: make_bundle([1.0, 1.0], [[0.5, 0.5]]), SpaceMismatch),
+    "probability_density_space_list": (lambda: probability_density([0.5, 0.5], [1.0, 1.0]),
+                                       SpaceMismatch),
+    "classical_f_divergence_space_list": (lambda: classical_f_divergence(
+        ROOT, P_HALF, Q_HALF, [1.0, 1.0]), SpaceMismatch),
+    "ith_mixed_space_list": (lambda: ith_mixed(ROOT, ROOT, P_HALF, Q_HALF, Q_HALF, P_HALF, 0.5, 2,
+                                               [1.0, 1.0]), SpaceMismatch),
+    "ith_mixed_reference_space_list": (lambda: ith_mixed_reference(
+        ROOT, P_HALF, Q_HALF, 0.5, ROOT, [1.0, 1.0], 2), SpaceMismatch),
+    "effective_proportionality_space_list": (lambda: effective_proportionality(
+        [1.0, 2.0], [2.0, 4.0], [1.0, 1.0]), SpaceMismatch),
     "fvector_entry_string": (lambda: FVector(["tv"]), InvalidParameter),
     # P and Q bundles on two spaces whose weights differ
     "mixed_f_divergence_spaces_differ": (lambda: mixed_f_divergence(ROOTS, P_PAIR, Q_ON_FIVES),

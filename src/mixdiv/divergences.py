@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     NotProbabilitySpace,
     RenyiUndefined,
     SpaceMismatch,
+    _given,
 )
 from .ffunctions import (FFunction, FVector, _as_real, _positive, _Registry, adjoint,
                          make_builtin, weighted_terms)
@@ -34,17 +35,6 @@ class DivergenceReport:
     value: float
     integrand: np.ndarray
     convention_hits: int = 0
-
-
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent for base >= 0, with typed errors for the two cases
-    Python floats raise on: 0 to a negative power, and overflow."""
-    if base == 0.0 and exponent < 0.0:
-        raise DegenerateExponent("zero raised to a negative power")
-    try:
-        return base ** exponent
-    except OverflowError as exc:
-        raise NonFiniteValue(f"{base!r} ** {exponent!r} overflows") from exc
 
 
 def _count(x) -> bool:
@@ -95,15 +85,25 @@ class _Slots:
 
     @classmethod
     def evaluate(cls, slots, space: MeasureSpace) -> "_Slots":
-        """Slots from (f, p, q) triples via weighted_terms, written into the
-        rows of one block, after checking each p and q against the space size."""
+        """Slots from (f, P, Q) triples, written into the rows of one block:
+        q f(p/q) by weighted_terms for Densities P and Q, each checked against
+        the space size first, and the constant f(1) for P = Q = None, the
+        pair (mu, mu), whose row is filled, not evaluated. InvalidParameter
+        for an f that is not an FFunction, or a P or Q that is not a Density."""
         slots, size = list(slots), _measure_space(space).size
-        for _, p, q in slots:
-            if len(p) != size or len(q) != size:
+        for f, P, Q in slots:
+            _given(f, FFunction)
+            if P is None and Q is None:
+                continue
+            if len(_given(P, Density)) != size or len(_given(Q, Density)) != size:
                 raise SpaceMismatch("densities do not match the space size")
-        block = np.empty((len(slots), size))
-        w, hits = zip(*[weighted_terms(f, p, q, block[k]) for k, (f, p, q) in enumerate(slots)])
-        return cls(w, space, sum(hits))
+        block, hits = np.empty((len(slots), size)), 0
+        for w, (f, P, Q) in zip(block, slots):
+            if P is None:
+                w.fill(f.value_at_one)
+            else:
+                hits += weighted_terms(f, P.values, Q.values, w)[1]
+        return cls(tuple(block), space, hits)
 
     def value(self, integrand: np.ndarray) -> float:
         """The integrand summed against mu; NonFiniteValue on NaN or +-inf."""
@@ -162,21 +162,18 @@ class _Slots:
 def _mixed_slots(fv: FVector, P: DensityBundle, Q: DensityBundle, k=math.inf) -> _Slots:
     """Validated slots of D(P, Q): (f_i, p_i, q_i) for i < k, else (f_i*, q_i, p_i)."""
     n = len(fv)
-    if len(P) != n or len(Q) != n:
+    if len(_given(P, DensityBundle)) != n or len(_given(Q, DensityBundle)) != n:
         raise LengthMismatch("generator vector and bundles must share one length")
     if Q.space is not P.space and not np.array_equal(Q.space.weights, P.space.weights):
         raise SpaceMismatch("bundles P and Q lie on different spaces")
-    return _Slots.evaluate((
-        (fv[i], P[i].values, Q[i].values) if i < k
-        else (adjoint(fv[i]), Q[i].values, P[i].values)
-        for i in range(n)
-    ), P.space)
+    return _Slots.evaluate(((fv[i], P[i], Q[i]) if i < k else (adjoint(fv[i]), Q[i], P[i])
+                            for i in range(n)), P.space)
 
 
 def classical_f_divergence(f: FFunction, p: Density, q: Density,
                            s: MeasureSpace) -> DivergenceReport:
     """D_f(P, Q) = sum_j f(p_j/q_j) q_j mu_j."""
-    slots = _Slots.evaluate([(f, p.values, q.values)], s)
+    slots = _Slots.evaluate([(f, p, q)], s)
     return slots.report(slots.w[0])
 
 
@@ -194,39 +191,34 @@ def mixed_k_form(fv: FVector, P: DensityBundle, Q: DensityBundle, k: int) -> Div
     return slots.report(slots.product())
 
 
-def ith_mixed(f1: FFunction, f2: FFunction, P1: Density, Q1: Density, P2: Density, Q2: Density,
-              i: float, n: int, s: MeasureSpace) -> DivergenceReport:
-    """Two-pair interpolation with exponents i/n and (n-i)/n."""
+def ith_mixed(f1: FFunction, f2: FFunction, P1: Density, Q1: Density, P2: Optional[Density],
+              Q2: Optional[Density], i: float, n: int, s: MeasureSpace) -> DivergenceReport:
+    """Two-pair interpolation with exponents i/n and (n-i)/n. P2 = Q2 = None
+    is the pair (mu, mu), on a probability space: the reference form."""
     slots, integrand = _ith(f1, f2, P1, Q1, P2, Q2, _ith_params(i, n), n, s)
     return slots.report(integrand)
 
 
 def _ith(f1, f2, P1, Q1, P2, Q2, i, n, s) -> tuple[_Slots, np.ndarray]:
     """The two pairs' slots and their i-th mixed integrand, for i and n
-    that _ith_params has read."""
-    slots = _Slots.evaluate([(f1, P1.values, Q1.values), (f2, P2.values, Q2.values)], s)
+    that _ith_params has read; NotProbabilitySpace for the second pair
+    (mu, mu) unless mu has mass 1."""
+    if P2 is None and Q2 is None:
+        mass = _measure_space(s).total_mass
+        if abs(mass - 1.0) > TOL_NORM * max(1.0, mass):
+            raise NotProbabilitySpace(f"total mass {mass} != 1")
+    slots = _Slots.evaluate([(f1, P1, Q1), (f2, P2, Q2)], s)
     return slots, slots.ith(i, n)
 
 
 def ith_mixed_reference(f1: FFunction, P1: Density, Q1: Density, i: float, f2: FFunction,
                         s: MeasureSpace, n: int) -> DivergenceReport:
-    """Reference form f2(1)^(1-i/n) * sum_j [f1(p_j/q_j) q_j]^(i/n) mu_j.
+    """Reference form f2(1)^(1-i/n) * sum_j [f1(p_j/q_j) q_j]^(i/n) mu_j: the
+    i-th mixed divergence whose second pair is (mu, mu).
 
     Requires mu itself to be a probability measure.
     """
-    slots, integrand = _ith_reference(f1, P1, Q1, _ith_params(i, n), f2, s, n)
-    return slots.report(integrand)
-
-
-def _ith_reference(f1, P1, Q1, i, f2, s, n) -> tuple[_Slots, np.ndarray]:
-    """The pair's slot and the reference-form integrand, for i and n that
-    _ith_params has read."""
-    mass = _measure_space(s).total_mass
-    if abs(mass - 1.0) > TOL_NORM * max(1.0, mass):
-        raise NotProbabilitySpace(f"total mass {mass} != 1")
-    slots = _Slots.evaluate([(f1, P1.values, Q1.values)], s)
-    scale = _power(f2.value_at_one, 1.0 - i / n)
-    return slots, scale * slots.power([(0, i / n)])
+    return ith_mixed(f1, f2, P1, Q1, None, None, i, n, s)
 
 
 class _Check(NamedTuple):
@@ -313,4 +305,4 @@ def named_divergence(family: str, P: DensityBundle, Q: DensityBundle,
     row = _NAMED.row(family)
     if not params.keys() <= set(row.optional):
         raise InvalidParameter(f"{family} takes {list(row.optional)}, got {sorted(params)}")
-    return row.check(P, Q, **params)
+    return row.check(_given(P, DensityBundle), _given(Q, DensityBundle), **params)

@@ -101,3 +101,11 @@ class SpecError(MixdivError):
 
 class OutputError(MixdivError):
     """The report could not be written to its --out file (CLI exit code 2)."""
+
+
+def _given(x, cls):
+    """x itself, where an object of type cls enters; InvalidParameter unless
+    it is one. A space has its own guard, measures._measure_space."""
+    if not isinstance(x, cls):
+        raise InvalidParameter(f"need an instance of {cls.__name__}, got {x!r}")
+    return x

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import _count
-from .errors import InvalidParameter, RangeMismatch
+from .errors import InvalidParameter, RangeMismatch, _given
 from .ffunctions import FVector, make_builtin
 from .inequalities import _CHECKS, _COROLLARIES
 from .measures import _density_rows, make_bundle, make_space
@@ -255,9 +255,7 @@ def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = 
     if not (0 <= trials <= MAX_TRIALS and seed >= 0):
         raise InvalidParameter(f"falsify needs seed >= 0 and 0 <= trials <= {MAX_TRIALS},"
                                f" got {seed} and {trials}")
-    cfg = FalsifyConfig() if config is None else config
-    if not isinstance(cfg, FalsifyConfig):
-        raise InvalidParameter(f"falsify needs a FalsifyConfig, got {config!r}")
+    cfg = FalsifyConfig() if config is None else _given(config, FalsifyConfig)
     violations, min_slack, min_task = 0, None, None
     for draws in _trial_draws(seed, trials, _row_width(cfg.max_n)):
         space, task = _TRIALS[inequality_id](draws, cfg)

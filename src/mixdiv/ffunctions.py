@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, IndeterminateValue, InvalidParameter
+from .errors import DomainError, IndeterminateValue, InvalidParameter, _given
 
 CONVEX = "convex"
 STRICTLY_CONVEX = "strictly_convex"
@@ -247,9 +247,15 @@ def make_builtin(kind: str, **params) -> FFunction:
     """Construct a validated builtin generator.
 
     kind: "tv" | "klplus" | "logplus" | "power" (alpha) | "linear" (a, b)
-          | "scaled" (lam, inner) | "adjoint" (inner)
+          | "scaled" (lam, inner) | "adjoint" (inner); a parameter the kind
+    does not take is refused.
     """
-    return _KINDS.row(kind).make(params)
+    row = _KINDS.row(kind)
+    unknown = params.keys() - set(row.spec.values())
+    if unknown:
+        names = ", ".join(sorted(unknown))
+        raise InvalidParameter(f"{kind!r} generator takes no parameter {names}")
+    return row.make(params)
 
 
 def eval_f(f: FFunction, t: float) -> float:
@@ -275,8 +281,12 @@ def weighted_term(f: FFunction, p: float, q: float) -> float:
     p = 0, q > 0: value is q * limit_at_zero.
     A nonzero cofactor against an infinite limit is an error.
     """
-    if p < 0 or q < 0:
-        raise DomainError("weighted_term needs nonnegative arguments")
+    try:
+        negative = p < 0 or q < 0
+    except (TypeError, ValueError):  # not reals: a string, None, an array
+        negative = True
+    if negative:
+        raise DomainError(f"weighted_term needs nonnegative reals, got {p!r} and {q!r}")
     if q == 0.0:
         if p == 0.0:
             return 0.0
@@ -340,8 +350,7 @@ class FVector(tuple):
         if len(entries) < 1:
             raise InvalidParameter("an FVector needs at least one entry")
         for f in entries:
-            if not isinstance(f, FFunction):
-                raise InvalidParameter(f"an FVector entry must be an FFunction, got {f!r}")
+            _given(f, FFunction)
         return super().__new__(cls, entries)
 
     def adjoint(self) -> "FVector":

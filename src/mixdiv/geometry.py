@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, NotC2Plus, SingularMatrix, UnsupportedFamily
+from .errors import InvalidParameter, NotC2Plus, SingularMatrix, UnsupportedFamily, _given
 from .divergences import DivergenceReport, ith_mixed, mixed_f_divergence
 from .ffunctions import FFunction, FVector, _Registry
 from .inequalities import InequalityVerdict, _verdict
@@ -214,7 +214,7 @@ def unit_disk() -> ConvexBody2D:
 def _stream(K: ConvexBody2D, grid: CircleGrid):
     """Yield (slice, (cos m*theta, sin m*theta), h, f) over the grid's blocks;
     NotC2Plus unless h and f are positive (a NaN fails too)."""
-    row = _FAMILIES[K.family]
+    row = _FAMILIES[_given(K, ConvexBody2D).family]
     for block, c, s in grid._blocks(row.frequency(K)):
         h, f = row.kernel(K, c, s)
         if not (h.min() > 0 and f.min() > 0):
@@ -225,10 +225,10 @@ def _stream(K: ConvexBody2D, grid: CircleGrid):
 def body_eval(K: ConvexBody2D, grid: CircleGrid) -> dict:
     """Per-node h, h', h'' and the curvature function f = h + h'', filled
     block by block."""
-    slope = _FAMILIES[K.family].slope
+    slope = _FAMILIES[_given(K, ConvexBody2D).family].slope
     # rows of one allocation: separately freed full-size arrays go back to the
     # OS, and the next call faults their pages in again
-    ev = dict(zip(("h", "hp", "hpp", "f"), np.empty((4, grid.node_count))))
+    ev = dict(zip(("h", "hp", "hpp", "f"), np.empty((4, _given(grid, CircleGrid).node_count))))
     for block, (c, s), h, f in _stream(K, grid):
         ev["h"][block], ev["hp"][block], ev["f"][block] = h, slope(K, c, s, h), f
         np.subtract(f, h, out=ev["hpp"][block])
@@ -264,7 +264,7 @@ def _integrals(K: ConvexBody2D, grid: CircleGrid, integrands) -> list:
     """The trapezoid sums of the integrands over one stream of K, block by
     block; no full-size array is built."""
     sums = np.zeros(len(integrands))
-    w = grid.weights
+    w = _given(grid, CircleGrid).weights
     t = np.empty(min(_BLOCK, grid.node_count))
     for block, _, h, f in _stream(K, grid):
         tb, wb = t[: block.stop - block.start], w[block]
@@ -284,7 +284,7 @@ def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]
     h^-2 and f h block by block in the rows of one allocation, as in
     `body_eval`, each then divided by its trapezoid sum 2|K*| or 2|K|; the
     two rows are checked as one block."""
-    pq = np.empty((2, grid.node_count))
+    pq = np.empty((2, _given(grid, CircleGrid).node_count))
     p, q = pq
     for block, _, h, f in _stream(K, grid):
         np.divide(1.0, np.multiply(h, h, out=p[block]), out=p[block])
@@ -297,8 +297,8 @@ def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]
 def _bundles(bodies, grid, orientation):
     if orientation not in ("PQ", "QP"):
         raise InvalidParameter(f"orientation must be 'PQ' or 'QP', got {orientation!r}")
+    pairs = [body_densities(K, grid) for K in bodies]  # checks each body and the grid first
     space = grid.space()
-    pairs = [body_densities(K, grid) for K in bodies]
     P, Q = (DensityBundle(space, tuple(pair[j] for pair in pairs)) for j in (0, 1))
     return (Q, P) if orientation == "QP" else (P, Q)
 
@@ -319,8 +319,10 @@ def ith_mixed_body_divergence(f1: FFunction, f2: FFunction, K1: ConvexBody2D, K2
 
 
 def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
-    """Image of a body under an invertible linear map, by its family's rule."""
-    image = _FAMILIES[K.family].linear_map
+    """Image of a body under an invertible linear map, by its family's rule.
+    T counts as singular when |det T| <= 1e-14 ||T||_F^2, a bound relative to
+    the scale of T (||T||_F^2 >= 2 |det T| always)."""
+    image = _FAMILIES[_given(K, ConvexBody2D).family].linear_map
     if image is None:
         raise UnsupportedFamily("only ellipses are closed under linear maps")
     try:
@@ -329,7 +331,7 @@ def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
         raise InvalidParameter(f"a linear map must be an array of numbers, got {T!r}") from None
     if not np.isfinite(T).all():
         raise InvalidParameter("linear map entries must be finite")
-    if T.shape != (2, 2) or abs(np.linalg.det(T)) < 1e-14:
+    if T.shape != (2, 2) or abs(np.linalg.det(T)) <= 1e-14 * np.sum(T * T):
         raise SingularMatrix("need an invertible 2x2 matrix")
     return image(K, T)
 

@@ -17,16 +17,18 @@ import numpy as np
 
 from .errors import (
     BadOrdering,
+    DegenerateExponent,
     LengthMismatch,
     MixedConvexityTags,
     NonConcaveTag,
     NonFiniteValue,
     RangeMismatch,
     TagMismatch,
+    _given,
 )
 from .divergences import (
-    _BUNDLES, _F12, _ONE_PAIR, _PAIR1, _PAIR2, _Check, _count, _ith, _ith_params, _ith_reference,
-    _mixed_slots, _power, _Slots,
+    _BUNDLES, _F12, _ONE_PAIR, _PAIR1, _PAIR2, _Check, _count, _ith, _ith_params, _mixed_slots,
+    _Slots,
 )
 from .ffunctions import LINEAR, FFunction, FVector, _as_real
 from .measures import Density, DensityBundle, MeasureSpace, _measure_space
@@ -44,6 +46,17 @@ class InequalityVerdict:
     satisfied: bool
     equality: bool
     diagnosis: Optional[dict] = None
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, with typed errors for the two cases
+    Python floats raise on: 0 to a negative power, and overflow."""
+    if base == 0.0 and exponent < 0.0:
+        raise DegenerateExponent("zero raised to a negative power")
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise NonFiniteValue(f"{base!r} ** {exponent!r} overflows") from exc
 
 
 def _verdict(lhs: float, rhs: float, relation: str, diagnose=None) -> InequalityVerdict:
@@ -90,7 +103,8 @@ def _equal(x, y) -> bool:
 def _tight(space: MeasureSpace, integrands, steps) -> Optional[dict]:
     """Is each step of a bound's proof tight? `integrands` are its ends';
     `steps` are the (f, p, q) of their Jensen steps D_f(p, q) against f(1),
-    with p and q None for an end that is the constant f(1) itself.
+    with p and q None for the pair (mu, mu), whose step D_f(mu, mu) = f(1)
+    is exact and is skipped.
 
     Hoelder's step needs two or more ends, and a Jensen step a pair. A null
     integrand makes every side vanish, so the bound is tight. Otherwise
@@ -176,10 +190,10 @@ def af_check(fv: FVector, P: DensityBundle, Q: DensityBundle, m: int) -> Inequal
 
 def jensen_bound_check(f: FFunction, p: Density, q: Density, s: MeasureSpace) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
-    convex = f.is_convex
+    convex = _given(f, FFunction).is_convex
     if not (convex or f.is_concave):
         raise TagMismatch("jensen bound needs a convex or a concave generator")
-    slots = _Slots.evaluate([(f, p.values, q.values)], s)
+    slots = _Slots.evaluate([(f, p, q)], s)
     return _bound(slots, slots.value(slots.w[0]), "ge" if convex else "le",
                   [(slots.w[0], 1)], [(f, p, q)])
 
@@ -197,10 +211,11 @@ def concave_chain_check(fv: FVector, P: DensityBundle,
     return left, _verdict(left.rhs, math.prod(f.value_at_one for f in fv), "le")
 
 
-def interpolation_check(f1: FFunction, f2: FFunction, P1: Density, Q1: Density, P2: Density,
-                        Q2: Density, i: float, j: float, k: float, n: int,
-                        s: MeasureSpace) -> InequalityVerdict:
-    """Log-convexity of i -> D(P, Q; i): D(i) <= D(j)^((k-i)/(k-j)) D(k)^((i-j)/(k-j))."""
+def interpolation_check(f1: FFunction, f2: FFunction, P1: Density, Q1: Density,
+                        P2: Optional[Density], Q2: Optional[Density], i: float, j: float,
+                        k: float, n: int, s: MeasureSpace) -> InequalityVerdict:
+    """Log-convexity of i -> D(P, Q; i): D(i) <= D(j)^((k-i)/(k-j)) D(k)^((i-j)/(k-j)).
+    P2 = Q2 = None is the second pair (mu, mu), as in ith_mixed."""
     i, j, k = _as_real(i, "i"), _as_real(j, "j"), _as_real(k, "k")
     lo, hi = min(j, k), max(j, k)
     if not (lo <= i <= hi):
@@ -256,8 +271,9 @@ def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, 
     """The six endpoint corollaries of the interpolation bound.
 
     Pair cases (concave_band, convex_concave_high, concave_convex_low)
-    need the second pair (P2, Q2); reference cases integrate against mu
-    itself, need a probability space and take no second pair.
+    need the second pair (P2, Q2); reference cases take none, and their
+    second pair is (mu, mu), on a probability space. Past the argument
+    checks, all six run on one path.
     """
     row = _COROLLARIES.get(case) if isinstance(case, str) else None
     if row is None:
@@ -266,20 +282,16 @@ def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, 
         raise RangeMismatch("pair corollaries need the second density pair")
     if row.reference and (P2 is not None or Q2 is not None):
         raise RangeMismatch("reference corollaries take no second density pair")
-    if not (getattr(f1, f"is_{row.f1}") and (row.f2 is None or getattr(f2, f"is_{row.f2}"))):
+    if not (getattr(_given(f1, FFunction), f"is_{row.f1}")
+            and (row.f2 is None or getattr(_given(f2, FFunction), f"is_{row.f2}"))):
         needs = f"f1 {row.f1}" + (f" and f2 {row.f2}" if row.f2 else "")
         raise TagMismatch(f"{case} needs {needs}")
     i = _ith_params(i, n)
     if not row.range.holds(i, n):
         raise RangeMismatch(f"{case} needs {row.range.text}")
-    if row.reference:  # the second end is the constant f2(1), with no pair to take Jensen's step on
-        slots, w = _ith_reference(f1, P1, Q1, i, f2, s, n)
-        second, step = np.full(s.size, f2.value_at_one), (f2, None, None)
-    else:
-        slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
-        second, step = slots.w[1], (f2, P2, Q2)
+    slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
     return _bound(slots, _power(slots.value(w), n), row.range.relation,
-                  [(slots.w[0], i), (second, n - i)], [(f1, P1, Q1), step])
+                  [(slots.w[0], i), (slots.w[1], n - i)], [(f1, P1, Q1), (f2, P2, Q2)])
 
 
 _CHECKS = {

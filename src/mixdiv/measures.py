@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    InvalidParameter,
     LengthMismatch,
     NonPositiveWeight,
     NormalizationFailure,
     SpaceMismatch,
     ZeroDensityAtom,
+    _given,
 )
 
 TOL_NORM = 1e-12
@@ -160,9 +160,7 @@ class DensityBundle:
         if len(ds) < 1:
             raise LengthMismatch("a bundle needs at least one density")
         for d in ds:
-            if not isinstance(d, Density):
-                raise InvalidParameter(f"a bundle member must be a Density, got {d!r}")
-            if len(d) != self.space.size:
+            if len(_given(d, Density)) != self.space.size:
                 raise LengthMismatch("bundle member does not match the space size")
 
     def __len__(self):

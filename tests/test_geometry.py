@@ -219,6 +219,17 @@ def test_linear_map_errors():
         apply_linear_map(unit_disk(), np.zeros((2, 2)))
 
 
+def test_linear_map_invertibility_is_judged_against_the_scale_of_T():
+    # a tiny but well-conditioned map is invertible: its image is ellipse(2e-8, 5e-9)
+    K = apply_linear_map(ellipse(2.0, 0.5, 0.3), 1e-8 * np.eye(2))
+    assert (K.a, K.b) == (pytest.approx(2e-8, rel=1e-12), pytest.approx(5e-9, rel=1e-12))
+    # condition number ~4e16, and a rank-1 map, are singular whatever their scale
+    for T in ([[1e8, 1e8], [1e8, 1e8 + 1e-6]], [[1.0, 2.0], [2.0, 4.0]],
+              [[1e-8, 2e-8], [2e-8, 4e-8]]):
+        with pytest.raises(SingularMatrix):
+            apply_linear_map(ellipse(2.0, 0.5, 0.3), T)
+
+
 def test_isoperimetric_disk_equality():
     v = isoperimetric_check(unit_disk(), GRID)
     assert v.equality

@@ -19,6 +19,9 @@ from mixdiv import (
     FalsifyConfig,
     af_check,
     apply_linear_map,
+    body_densities,
+    body_eval,
+    body_functionals,
     classical_f_divergence,
     concave_chain_check,
     corollary_bound_check,
@@ -28,6 +31,7 @@ from mixdiv import (
     falsify,
     from_spec,
     interpolation_check,
+    isoperimetric_check,
     ith_mixed,
     ith_mixed_reference,
     jensen_bound_check,
@@ -39,11 +43,13 @@ from mixdiv import (
     mixed_k_form,
     named_divergence,
     probability_density,
+    weighted_term,
 )
 from mixdiv import cli, errors
 from mixdiv.cli import main
 from mixdiv.errors import (
     DegenerateExponent,
+    DomainError,
     IndexOutOfRange,
     InvalidParameter,
     LengthMismatch,
@@ -585,6 +591,50 @@ TYPED_RAISES = {
                                   InvalidParameter),
     "normalize_wrong_length": (lambda: probability_density([1.0, 2.0, 3.0], HALVES,
                                                            normalize=True), LengthMismatch),
+    # a density that is not a Density, refused where it enters the slot kernel
+    "ith_mixed_second_pair_none_and_density": (lambda: ith_mixed(
+        ROOT, ROOT, P_HALF, Q_HALF, None, Q_HALF, 1.0, 2, HALVES), InvalidParameter),
+    "jensen_bound_check_density_list": (lambda: jensen_bound_check(ROOT, [0.8, 1.2], Q_HALF,
+                                                                   HALVES), InvalidParameter),
+    "classical_f_divergence_density_string": (lambda: classical_f_divergence(
+        ROOT, P_HALF, "x", HALVES), InvalidParameter),
+    # bundles, generators, bodies and grids that are not one, refused where they enter
+    "af_check_bundle_list": (lambda: af_check(FVector([ROOT]), [P_HALF], [Q_HALF], 1),
+                             InvalidParameter),
+    "mixed_k_form_bundle_list": (lambda: mixed_k_form(FVector([ROOT]), [P_HALF], [Q_HALF], 0),
+                                 InvalidParameter),
+    "named_divergence_bundle_list": (lambda: named_divergence("mixed_tv", [P_HALF], [Q_HALF]),
+                                     InvalidParameter),
+    "factor_decomposition_bundle_none": (lambda: factor_decomposition(
+        FVector([ROOT]), None, None, 0), InvalidParameter),
+    "classical_f_divergence_generator_string": (lambda: classical_f_divergence(
+        "x", P_HALF, Q_HALF, HALVES), InvalidParameter),
+    "ith_mixed_reference_f2_none": (lambda: ith_mixed_reference(
+        ROOT, P_HALF, Q_HALF, 1.0, None, HALVES, 2), InvalidParameter),
+    "jensen_bound_check_generator_string": (lambda: jensen_bound_check(
+        "tv", P_HALF, Q_HALF, HALVES), InvalidParameter),
+    "corollary_bound_check_f1_string": (lambda: corollary_bound_check(
+        "concave_band", "x", ROOT, P_HALF, Q_HALF, 1.0, 2, HALVES, P_HALF, Q_HALF),
+        InvalidParameter),
+    "body_functionals_grid_none": (lambda: body_functionals(ellipse(1, 1), None),
+                                   InvalidParameter),
+    "body_functionals_grid_list": (lambda: body_functionals(ellipse(1, 1), [1, 2]),
+                                   InvalidParameter),
+    "body_densities_grid_none": (lambda: body_densities(ellipse(1, 1), None), InvalidParameter),
+    "body_eval_body_none": (lambda: body_eval(None, CircleGrid(64)), InvalidParameter),
+    "isoperimetric_check_body_none": (lambda: isoperimetric_check(None, CircleGrid(64)),
+                                      InvalidParameter),
+    "mixed_body_divergence_body_none": (lambda: mixed_body_divergence(
+        FVector([ROOT]), [None], "PQ", CircleGrid(64)), InvalidParameter),
+    "apply_linear_map_body_none": (lambda: apply_linear_map(None, np.eye(2)), InvalidParameter),
+    # a point that is not a real, as eval_f refuses one
+    "weighted_term_string": (lambda: weighted_term(ROOT, "a", 0.5), DomainError),
+    # a generator parameter its kind does not take
+    "make_builtin_misspelt_alpha": (lambda: make_builtin("power", alpha=0.5, alhpa=9),
+                                    InvalidParameter),
+    "make_builtin_tv_alpha": (lambda: make_builtin("tv", alpha=3.0), InvalidParameter),
+    "make_builtin_scaled_spec_key": (lambda: make_builtin("scaled", inner=ROOT, **{"lambda": 2.0}),
+                                     InvalidParameter),
 }
 
 

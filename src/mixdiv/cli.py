@@ -19,10 +19,10 @@ import sys
 import numpy as np
 
 from . import divergences, geometry, inequalities
+from .divergences import _FIELD_KINDS, _LIST, _STR, _int, _real, _reals
 from .falsify import FalsifyConfig, falsify as run_falsify_trials
 from .errors import MixdivError, OutputError, SpecError
-from .ffunctions import FVector, from_spec
-from .measures import Density, DensityBundle, make_space, validate_density
+from .measures import Density, make_space, validate_density
 
 _CSV_COLUMNS = [
     "index", "task", "value", "lhs", "rhs", "slack",
@@ -45,36 +45,6 @@ def _load_spec(path):
 
 
 _REQUIRED = object()
-
-
-def _is(kind):
-    """A converter that passes a value of the given type and rejects others."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}")
-        return value
-    return check
-
-
-_LIST, _STR = _is(list), _is(str)
-
-
-def _int(value) -> int:
-    """A JSON integer, or a float with an integral value; not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise TypeError("expected an integer")
-    return int(value)
-
-
-def _real(value) -> float:
-    """A JSON number: an int or a float; not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected a real")
-    return float(value)
-
-
-def _reals(value) -> list:
-    return [_real(x) for x in _LIST(value)]
 
 
 class _Reader:
@@ -129,11 +99,9 @@ class _Task(_Reader):
         self.where = f"{self.type} task"
         self.named, self.space, self.grid, self.emit = named, space, grid, emit
 
-    def f(self, key):
-        return from_spec(self.get(key))
-
-    def fs(self, key) -> FVector:
-        return FVector(from_spec(f) for f in self.get(key, _LIST))
+    def field(self, key, kind):
+        """The field as an object of its kind, read by the kind's row of _FIELD_KINDS."""
+        return _FIELD_KINDS[kind].read(self, key)
 
     def _resolve(self, name):
         if not isinstance(name, str) or name not in self.named:
@@ -146,9 +114,6 @@ class _Task(_Reader):
 
     def refs(self, key) -> list:
         return [self._resolve(name) for name in self.get(key, _LIST)]
-
-    def bundle(self, key) -> DensityBundle:
-        return DensityBundle(self.space, tuple(self.refs(key)))
 
     def report(self, report) -> dict:
         entry = {"task": self.type, "value": report.value}
@@ -198,19 +163,12 @@ def _named(r):
     return entry | {"family": family}
 
 
-# a task field's kind -> its typed read; _results reads the fields its row names
-_READ = {"generator": _Task.f, "generators": _Task.fs, "density": _Task.ref,
-         "densities": _Task.bundle, "space": lambda r, key: r.space} | {
-    kind: lambda r, key, to=to: r.get(key, to)
-    for kind, to in {"real": _real, "reals": _reals, "int": _int, "str": _STR}.items()}
-
-
 def _results(r, row) -> list:
     """The row's function on the task's fields, each read by its kind in the
     row's order; the optional ones only when the task gives any of them."""
     left_out = () if r.data.keys() & set(row.optional) else row.optional
     return row.results(r.space, {
-        key: _READ[kind](r, key) for key, kind in row.fields.items() if key not in left_out})
+        key: r.field(key, kind) for key, kind in row.fields.items() if key not in left_out})
 
 
 _COMPUTE = dict.fromkeys(divergences._FUNCTIONALS, lambda r: r.report(
@@ -279,7 +237,7 @@ def _geometry_ith(r):
     if len(bodies) != 2:
         raise SpecError(f"field 'bodies' in {r.where} needs exactly two bodies, got {len(bodies)}")
     return r.report(geometry.ith_mixed_body_divergence(
-        r.f("f1"), r.f("f2"), bodies[0], bodies[1],
+        r.field("f1", "generator"), r.field("f2", "generator"), bodies[0], bodies[1],
         r.get("i", _real), r.get("orientation", _STR, "PQ"), r.grid,
     ))
 
@@ -288,7 +246,7 @@ _GEOMETRY = {
     "functionals": _functionals,
     "densities": _densities,
     "mixed": lambda r: r.report(geometry.mixed_body_divergence(
-        r.fs("fs"), r.refs("bodies"), r.get("orientation", _STR, "PQ"), r.grid,
+        r.field("fs", "generators"), r.refs("bodies"), r.get("orientation", _STR, "PQ"), r.grid,
     )),
     "ith": _geometry_ith,
     "isoperimetric": lambda r: r.verdicts(

@@ -104,8 +104,11 @@ class OutputError(MixdivError):
 
 
 def _given(x, cls):
-    """x itself, where an object of type cls enters; InvalidParameter unless
-    it is one. A space has its own guard, measures._measure_space."""
+    """x itself; InvalidParameter unless it is an instance of cls. It is the
+    guard of each field kind whose objects are instances of one class
+    (divergences._FIELD_KINDS), which every public functional, check and
+    geometry function applies to its arguments before its body runs. A space
+    has its own guard, measures._measure_space."""
     if not isinstance(x, cls):
         raise InvalidParameter(f"need an instance of {cls.__name__}, got {x!r}")
     return x

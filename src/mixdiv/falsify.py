@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _count
+from .divergences import _FIELD_KINDS, _count
 from .errors import InvalidParameter, RangeMismatch, _given
 from .ffunctions import FVector, make_builtin
 from .inequalities import _CHECKS, _COROLLARIES
@@ -226,24 +226,15 @@ INEQUALITY_IDS = tuple(_TRIALS)
 
 
 def _witness(space, task) -> dict:
-    """The task as a complete verify spec: each generator as its spec, each
-    density named after its field (the members of ps as p0, p1, ...)."""
-    row, densities, spec = _CHECKS[task["type"]], {}, {"type": task["type"]}
-    for name, kind in row.fields.items():
-        x = task.get(name)
-        if x is None:  # the space, or an optional field left out
-            continue
-        if kind in ("density", "densities"):
-            named = {name: x} if kind == "density" else {
-                f"{name[:-1]}{j}": d for j, d in enumerate(x)}
-            densities |= named
-            x = name if kind == "density" else list(named)
-        elif kind in ("generator", "generators"):
-            x = x.describe() if kind == "generator" else [f.describe() for f in x]
-        spec[name] = x
+    """The task as a complete verify spec: each field written by its kind
+    (each generator as its spec, each density by its name in the spec's
+    densities); the space, and an optional field left out, are not fields."""
+    densities = {}
+    spec = {"type": task["type"]} | {
+        name: _FIELD_KINDS[kind].write(name, task[name], densities)
+        for name, kind in _CHECKS[task["type"]].fields.items() if task.get(name) is not None}
     return {"space": {"weights": [float(w) for w in space.weights]},
-            "densities": {k: [float(v) for v in d.values] for k, d in densities.items()},
-            "tasks": [spec]}
+            "densities": densities, "tasks": [spec]}
 
 
 def falsify(inequality_id: str, seed: int, trials: int, config: FalsifyConfig = None) -> dict:

@@ -143,10 +143,7 @@ def _real(params: dict, key: str, default=None) -> float:
 
 
 def _inner(params: dict) -> FFunction:
-    inner = params.get("inner")
-    if not isinstance(inner, FFunction):
-        raise InvalidParameter(f"inner generator must be an FFunction, got {inner!r}")
-    return inner
+    return _given(params.get("inner"), FFunction)
 
 
 def _make_power(params: dict) -> FFunction:

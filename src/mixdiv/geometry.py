@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidParameter, NotC2Plus, SingularMatrix, UnsupportedFamily, _given
-from .divergences import DivergenceReport, ith_mixed, mixed_f_divergence
+from .divergences import (_FIELD_KINDS, DivergenceReport, _FieldKind, _guarded, _sequence,
+                          ith_mixed, mixed_f_divergence)
 from .ffunctions import FFunction, FVector, _Registry
 from .inequalities import InequalityVerdict, _verdict
 from .measures import Density, DensityBundle, MeasureSpace, _density_rows
@@ -211,10 +212,19 @@ def unit_disk() -> ConvexBody2D:
     return ellipse(1.0, 1.0)
 
 
+# the geometry kinds of the field-kind table: a list of bodies stays a list
+_FIELD_KINDS.update(
+    body=_FieldKind(lambda K, key: _given(K, ConvexBody2D)),
+    bodies=_FieldKind(lambda Ks, key: [_given(K, ConvexBody2D) for K in _sequence(Ks, key)]),
+    grid=_FieldKind(lambda grid, key: _given(grid, CircleGrid)),
+)
+
+
 def _stream(K: ConvexBody2D, grid: CircleGrid):
-    """Yield (slice, (cos m*theta, sin m*theta), h, f) over the grid's blocks;
-    NotC2Plus unless h and f are positive (a NaN fails too)."""
-    row = _FAMILIES[_given(K, ConvexBody2D).family]
+    """Yield (slice, (cos m*theta, sin m*theta), h, f) over the grid's blocks,
+    for a guarded body and grid; NotC2Plus unless h and f are positive (a NaN
+    fails too)."""
+    row = _FAMILIES[K.family]
     for block, c, s in grid._blocks(row.frequency(K)):
         h, f = row.kernel(K, c, s)
         if not (h.min() > 0 and f.min() > 0):
@@ -222,13 +232,14 @@ def _stream(K: ConvexBody2D, grid: CircleGrid):
         yield block, (c, s), h, f
 
 
+@_guarded({"body": "body", "grid": "grid"})
 def body_eval(K: ConvexBody2D, grid: CircleGrid) -> dict:
     """Per-node h, h', h'' and the curvature function f = h + h'', filled
     block by block."""
-    slope = _FAMILIES[_given(K, ConvexBody2D).family].slope
+    slope = _FAMILIES[K.family].slope
     # rows of one allocation: separately freed full-size arrays go back to the
     # OS, and the next call faults their pages in again
-    ev = dict(zip(("h", "hp", "hpp", "f"), np.empty((4, _given(grid, CircleGrid).node_count))))
+    ev = dict(zip(("h", "hp", "hpp", "f"), np.empty((4, grid.node_count))))
     for block, (c, s), h, f in _stream(K, grid):
         ev["h"][block], ev["hp"][block], ev["f"][block] = h, slope(K, c, s, h), f
         np.subtract(f, h, out=ev["hpp"][block])
@@ -264,7 +275,7 @@ def _integrals(K: ConvexBody2D, grid: CircleGrid, integrands) -> list:
     """The trapezoid sums of the integrands over one stream of K, block by
     block; no full-size array is built."""
     sums = np.zeros(len(integrands))
-    w = _given(grid, CircleGrid).weights
+    w = grid.weights
     t = np.empty(min(_BLOCK, grid.node_count))
     for block, _, h, f in _stream(K, grid):
         tb, wb = t[: block.stop - block.start], w[block]
@@ -272,6 +283,7 @@ def _integrals(K: ConvexBody2D, grid: CircleGrid, integrands) -> list:
     return sums.tolist()
 
 
+@_guarded({"body": "body", "grid": "grid"})
 def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
     """|K| = (1/2) int h f, |K*| = (1/2) int h^-2, |dK| = int f and
     as(K) = int f^(2/3)."""
@@ -279,12 +291,13 @@ def body_functionals(K: ConvexBody2D, grid: CircleGrid) -> BodyFunctionals:
     return BodyFunctionals(0.5 * hf, 0.5 * h_2, length, asa)
 
 
+@_guarded({"body": "body", "grid": "grid"})
 def body_densities(K: ConvexBody2D, grid: CircleGrid) -> tuple[Density, Density]:
     """The pair (p_K, q_K): p = 1/(2 |K*| h^2), q = f h / (2 |K|), filled as
     h^-2 and f h block by block in the rows of one allocation, as in
     `body_eval`, each then divided by its trapezoid sum 2|K*| or 2|K|; the
     two rows are checked as one block."""
-    pq = np.empty((2, _given(grid, CircleGrid).node_count))
+    pq = np.empty((2, grid.node_count))
     p, q = pq
     for block, _, h, f in _stream(K, grid):
         np.divide(1.0, np.multiply(h, h, out=p[block]), out=p[block])
@@ -303,6 +316,7 @@ def _bundles(bodies, grid, orientation):
     return (Q, P) if orientation == "QP" else (P, Q)
 
 
+@_guarded({"fs": "generators", "bodies": "bodies", "orientation": "str", "grid": "grid"})
 def mixed_body_divergence(
     fv: FVector, bodies, orientation: str, grid: CircleGrid
 ) -> DivergenceReport:
@@ -312,17 +326,20 @@ def mixed_body_divergence(
     return mixed_f_divergence(fv, P, Q)
 
 
+@_guarded({"f1": "generator", "f2": "generator", "body1": "body", "body2": "body",
+           "i": "real", "orientation": "str", "grid": "grid"})
 def ith_mixed_body_divergence(f1: FFunction, f2: FFunction, K1: ConvexBody2D, K2: ConvexBody2D,
                               i: float, orientation: str, grid: CircleGrid) -> DivergenceReport:
     P, Q = _bundles([K1, K2], grid, orientation)
     return ith_mixed(f1, f2, P[0], Q[0], P[1], Q[1], i, 2, grid.space())
 
 
+@_guarded({"body": "body"})
 def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
     """Image of a body under an invertible linear map, by its family's rule.
     T counts as singular when |det T| <= 1e-14 ||T||_F^2, a bound relative to
     the scale of T (||T||_F^2 >= 2 |det T| always)."""
-    image = _FAMILIES[_given(K, ConvexBody2D).family].linear_map
+    image = _FAMILIES[K.family].linear_map
     if image is None:
         raise UnsupportedFamily("only ellipses are closed under linear maps")
     try:
@@ -336,6 +353,7 @@ def apply_linear_map(K: ConvexBody2D, T) -> ConvexBody2D:
     return image(K, T)
 
 
+@_guarded({"body": "body", "grid": "grid"})
 def isoperimetric_check(K: ConvexBody2D, grid: CircleGrid) -> InequalityVerdict:
     """Boundary length dominates affine surface area:
     |dK|/(2 pi) >= (as(K)/(2 pi))^(3/2), equality exactly for disks."""

@@ -24,13 +24,12 @@ from .errors import (
     NonFiniteValue,
     RangeMismatch,
     TagMismatch,
-    _given,
 )
 from .divergences import (
-    _BUNDLES, _F12, _ONE_PAIR, _PAIR1, _PAIR2, _Check, _count, _ith, _ith_params, _mixed_slots,
+    _BUNDLES, _F12, _ONE_PAIR, _PAIR1, _PAIR2, _check_n, _count, _guarded, _ith, _mixed_slots,
     _Slots,
 )
-from .ffunctions import LINEAR, FFunction, FVector, _as_real
+from .ffunctions import LINEAR, FFunction, FVector
 from .measures import Density, DensityBundle, MeasureSpace, _measure_space
 
 TOL_INEQ = 1e-10
@@ -155,6 +154,7 @@ class FactorDecomposition:
         return math.prod(self.g, start=self.g0.copy())
 
 
+@_guarded(_BUNDLES | {"m": "int"})
 def factor_decomposition(
     fv: FVector, P: DensityBundle, Q: DensityBundle, m: int
 ) -> FactorDecomposition:
@@ -174,6 +174,7 @@ def _check_tags_uniform(fv: FVector) -> None:
         raise MixedConvexityTags("generator vector mixes convex and concave entries")
 
 
+@_guarded(_BUNDLES | {"m": "int"})
 def af_check(fv: FVector, P: DensityBundle, Q: DensityBundle, m: int) -> InequalityVerdict:
     """Alexandrov-Fenchel type bound: D^m <= prod over the m substituted
     mixed divergences obtained by repeating the k-th tail slot (Hoelder's
@@ -188,9 +189,10 @@ def af_check(fv: FVector, P: DensityBundle, Q: DensityBundle, m: int) -> Inequal
     return _bound(slots, lhs, "le", ((slots.product(head + [k] * m), 1) for k in range(n - m, n)))
 
 
+@_guarded(_ONE_PAIR)
 def jensen_bound_check(f: FFunction, p: Density, q: Density, s: MeasureSpace) -> InequalityVerdict:
     """D_f(P, Q) >= f(1) for convex f; <= f(1) for concave f."""
-    convex = _given(f, FFunction).is_convex
+    convex = f.is_convex
     if not (convex or f.is_concave):
         raise TagMismatch("jensen bound needs a convex or a concave generator")
     slots = _Slots.evaluate([(f, p, q)], s)
@@ -198,6 +200,7 @@ def jensen_bound_check(f: FFunction, p: Density, q: Density, s: MeasureSpace) ->
                   [(slots.w[0], 1)], [(f, p, q)])
 
 
+@_guarded(_BUNDLES)
 def concave_chain_check(fv: FVector, P: DensityBundle,
                         Q: DensityBundle) -> tuple[InequalityVerdict, InequalityVerdict]:
     """D^n <= prod_i D_{f_i}(P_i, Q_i) <= prod_i f_i(1) for concave f_i; the
@@ -211,16 +214,17 @@ def concave_chain_check(fv: FVector, P: DensityBundle,
     return left, _verdict(left.rhs, math.prod(f.value_at_one for f in fv), "le")
 
 
+@_guarded(_F12 | _PAIR1 | _PAIR2 | {"i": "real", "j": "real", "k": "real", "n": "int",
+                                    "s": "space"})
 def interpolation_check(f1: FFunction, f2: FFunction, P1: Density, Q1: Density,
                         P2: Optional[Density], Q2: Optional[Density], i: float, j: float,
                         k: float, n: int, s: MeasureSpace) -> InequalityVerdict:
     """Log-convexity of i -> D(P, Q; i): D(i) <= D(j)^((k-i)/(k-j)) D(k)^((i-j)/(k-j)).
     P2 = Q2 = None is the second pair (mu, mu), as in ith_mixed."""
-    i, j, k = _as_real(i, "i"), _as_real(j, "j"), _as_real(k, "k")
     lo, hi = min(j, k), max(j, k)
     if not (lo <= i <= hi):
         raise BadOrdering(f"i={i} is outside [{lo}, {hi}]")
-    slots, w_i = _ith(f1, f2, P1, Q1, P2, Q2, _ith_params(i, n), n, s)
+    slots, w_i = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
     # the ends are points of [j, k] with their exponents; at j or k the bound is D(i) itself
     ends = [(i, 1)] if i in (j, k) else [(j, (k - i) / (k - j)), (k, (i - j) / (k - j))]
     return _bound(slots, slots.value(w_i), "le", ((slots.ith(x, n), e) for x, e in ends))
@@ -265,6 +269,8 @@ _COROLLARIES = {
 }
 
 
+@_guarded({"case": "str"} | _F12 | _PAIR1 | {"i": "real", "n": "int", "s": "space"} | _PAIR2,
+          tuple(_PAIR2))
 def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, Q1: Density,
                           i: float, n: int, s: MeasureSpace, P2: Optional[Density] = None,
                           Q2: Optional[Density] = None) -> InequalityVerdict:
@@ -282,11 +288,10 @@ def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, 
         raise RangeMismatch("pair corollaries need the second density pair")
     if row.reference and (P2 is not None or Q2 is not None):
         raise RangeMismatch("reference corollaries take no second density pair")
-    if not (getattr(_given(f1, FFunction), f"is_{row.f1}")
-            and (row.f2 is None or getattr(_given(f2, FFunction), f"is_{row.f2}"))):
+    if not (getattr(f1, f"is_{row.f1}") and (row.f2 is None or getattr(f2, f"is_{row.f2}"))):
         needs = f"f1 {row.f1}" + (f" and f2 {row.f2}" if row.f2 else "")
         raise TagMismatch(f"{case} needs {needs}")
-    i = _ith_params(i, n)
+    _check_n(n)
     if not row.range.holds(i, n):
         raise RangeMismatch(f"{case} needs {row.range.text}")
     slots, w = _ith(f1, f2, P1, Q1, P2, Q2, i, n, s)
@@ -294,12 +299,6 @@ def corollary_bound_check(case: str, f1: FFunction, f2: FFunction, P1: Density, 
                   [(slots.w[0], i), (slots.w[1], n - i)], [(f1, P1, Q1), (f2, P2, Q2)])
 
 
-_CHECKS = {
-    "af": _Check(af_check, _BUNDLES | {"m": "int"}),
-    "jensen": _Check(jensen_bound_check, _ONE_PAIR),
-    "concave_chain": _Check(concave_chain_check, _BUNDLES),
-    "interpolation": _Check(interpolation_check, _F12 | _PAIR1 | _PAIR2 | {
-        "i": "real", "j": "real", "k": "real", "n": "int", "s": "space"}),
-    "corollary": _Check(corollary_bound_check, {"case": "str"} | _F12 | _PAIR1 | {
-        "i": "real", "n": "int", "s": "space"} | _PAIR2, tuple(_PAIR2)),
-}
+_CHECKS = {"af": af_check.row, "jensen": jensen_bound_check.row,
+           "concave_chain": concave_chain_check.row, "interpolation": interpolation_check.row,
+           "corollary": corollary_bound_check.row}

@@ -2,6 +2,7 @@
 instead of returning NaN or inf, or escaping as a Python exception."""
 
 import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -33,6 +34,7 @@ from mixdiv import (
     interpolation_check,
     isoperimetric_check,
     ith_mixed,
+    ith_mixed_body_divergence,
     ith_mixed_reference,
     jensen_bound_check,
     make_builtin,
@@ -47,6 +49,7 @@ from mixdiv import (
 )
 from mixdiv import cli, errors
 from mixdiv.cli import main
+from mixdiv.divergences import _FIELD_KINDS, _FUNCTIONALS, _NAMED
 from mixdiv.errors import (
     DegenerateExponent,
     DomainError,
@@ -62,6 +65,7 @@ from mixdiv.errors import (
     TagMismatch,
     ZeroDensityAtom,
 )
+from mixdiv.inequalities import _CHECKS
 
 # numpy warns on the overflows these inputs are built to provoke
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -635,6 +639,18 @@ TYPED_RAISES = {
     "make_builtin_tv_alpha": (lambda: make_builtin("tv", alpha=3.0), InvalidParameter),
     "make_builtin_scaled_spec_key": (lambda: make_builtin("scaled", inner=ROOT, **{"lambda": 2.0}),
                                      InvalidParameter),
+    # a generator vector or a body list that is not a sequence, refused before any len()
+    "af_check_generators_none": (lambda: af_check(None, P_PAIR, Q_PAIR, 1), InvalidParameter),
+    "concave_chain_check_generators_none": (lambda: concave_chain_check(None, P_PAIR, Q_PAIR),
+                                            InvalidParameter),
+    "mixed_f_divergence_generators_none": (lambda: mixed_f_divergence(None, P_PAIR, Q_PAIR),
+                                           InvalidParameter),
+    "mixed_k_form_generators_none": (lambda: mixed_k_form(None, P_PAIR, Q_PAIR, 0),
+                                     InvalidParameter),
+    "factor_decomposition_generators_none": (lambda: factor_decomposition(None, P_PAIR, Q_PAIR, 0),
+                                             InvalidParameter),
+    "mixed_body_divergence_bodies_none": (lambda: mixed_body_divergence(
+        ROOTS, None, "PQ", CircleGrid(64)), InvalidParameter),
 }
 
 
@@ -713,3 +729,53 @@ def test_a_non_real_parameter_raises_invalid_parameter(call, good, value):
     with pytest.raises(InvalidParameter):
         call(value)
     call(good)
+
+
+# -- every field of a row is guarded by its kind ---------------------------------
+
+
+# one valid argument of each kind; a "str" field's value is named by its field
+VALID = {"generator": ROOT, "generators": ROOTS, "density": P_HALF, "densities": P_PAIR,
+         "real": 0.5, "reals": [0.5, 2.0], "int": 1, "space": HALVES}
+VALID_STR = {"case": "concave_band", "kl_orientation": "pq"}
+# the error of an object of the wrong kind, where it is not InvalidParameter
+KIND_ERRORS = {"space": SpaceMismatch}
+ROWS = {f"{table}.{name}": row for table, rows in (
+    ("compute", _FUNCTIONALS), ("verify", _CHECKS), ("named", _NAMED)) for name, row in rows.items()}
+GEOMETRY_ROWS = {f.__name__: f.row for f in (
+    body_eval, body_functionals, body_densities, mixed_body_divergence, ith_mixed_body_divergence,
+    apply_linear_map, isoperimetric_check)}
+
+
+def _calls(name, row, args):
+    """The row's function on args (one per field, in order): called through
+    `_Check.results`, as the CLI and the falsifier call it (by position), by
+    keyword and, for a named family, through named_divergence."""
+    task = dict(zip(row.fields, args))
+    space = next((task[f] for f, kind in row.fields.items() if kind == "space"), HALVES)
+    params = dict(zip(inspect.signature(row.check).parameters, args))
+    calls = [lambda: row.results(space, task), lambda: row.check(**params)]
+    if name.startswith("named."):
+        P, Q, *param = args
+        calls.append(lambda: named_divergence(name[6:], P, Q, **dict(zip(row.optional, param))))
+    return calls
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_each_guarded_field_refuses_an_object_of_another_kind(name):
+    row = ROWS[name]
+    valid = [VALID_STR[field] if kind == "str" else VALID[kind]
+             for field, kind in row.fields.items()]
+    for call in _calls(name, row, valid):
+        call()
+    for j, (field, kind) in enumerate(row.fields.items()):
+        if _FIELD_KINDS[kind].guard is None:
+            continue
+        for call in _calls(name, row, valid[:j] + [object()] + valid[j + 1:]):
+            with pytest.raises(KIND_ERRORS.get(kind, InvalidParameter)):
+                call()
+
+
+def test_every_kind_a_row_names_has_a_table_entry():
+    for row in [*ROWS.values(), *GEOMETRY_ROWS.values()]:
+        assert set(row.fields.values()) <= _FIELD_KINDS.keys()

@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import divergences, geometry, inequalities
-from .divergences import _FIELD_KINDS, _LIST, _STR, _int, _real, _reals
+from .divergences import (_FIELD_KINDS, _LIST, _STR, DivergenceReport, _Check, _int,
+                          _real, _reals)
 from .falsify import FalsifyConfig, falsify as run_falsify_trials
 from .errors import MixdivError, OutputError, SpecError
 from .measures import Density, make_space, validate_density
@@ -115,15 +116,27 @@ class _Task(_Reader):
     def refs(self, key) -> list:
         return [self._resolve(name) for name in self.get(key, _LIST)]
 
-    def report(self, report) -> dict:
-        entry = {"task": self.type, "value": report.value}
-        if self.emit:
-            entry["integrand"] = [float(x) for x in report.integrand]
-            entry["convention_hits"] = report.convention_hits
-        return entry
-
-    def verdicts(self, *verdicts, **extra) -> list:
-        return [{"task": self.type} | extra | dataclasses.asdict(v) for v in verdicts]
+    def entries(self, results) -> list:
+        """The report entries of the results, each tagged with the task type
+        and the task's `family` or `body` name: a DivergenceReport is its
+        value, with its integrand and convention hits when `emit` is set; a
+        float (a Renyi divergence) is its value; a record (a verdict,
+        BodyFunctionals or a dict) is its fields."""
+        tags = {"task": self.type} | {key: self.data[key] for key in ("family", "body")
+                                      if key in self.data}
+        entries = []
+        for x in results:
+            if isinstance(x, DivergenceReport):
+                fields = {"value": x.value}
+                if self.emit:
+                    fields |= {"integrand": x.integrand.tolist(),
+                               "convention_hits": x.convention_hits}
+            elif isinstance(x, float):
+                fields = {"value": x}
+            else:
+                fields = x if isinstance(x, dict) else dataclasses.asdict(x)
+            entries.append(tags | fields)
+        return entries
 
 
 def _parse_inputs(spec) -> dict:
@@ -141,26 +154,20 @@ def _parse_inputs(spec) -> dict:
 
 
 def _run(command, table, spec, inputs):
-    """Run each task of the spec through its entry in the command's table;
-    a field the entry, or the spec, did not read is a SpecError."""
+    """Run each task of the spec through its entry in the command's table, a
+    row by its fields (`_results`) and any other entry as entry(task); a field
+    the entry, or the spec, did not read is a SpecError."""
     results = []
     for task in spec.last("tasks", _LIST):
         r = _Task(task, **inputs)
-        run = table.get(r.type)
-        if run is None:
+        entry = table.get(r.type)
+        if entry is None:
             raise SpecError(f"unknown {command} task type {r.type!r}")
-        out = run(r)
+        out = _results(r, entry) if isinstance(entry, _Check) else entry(r)
         r.all_read()
-        results += out if isinstance(out, list) else [out]
+        results += r.entries(out)
     code = 1 if any(not entry.get("satisfied", True) for entry in results) else 0
     return {"command": command, "results": results}, code
-
-
-def _named(r):
-    family = r.get("family", _STR)
-    out, = _results(r, divergences._NAMED.row(family))
-    entry = {"task": r.type, "value": out} if isinstance(out, float) else r.report(out)
-    return entry | {"family": family}
 
 
 def _results(r, row) -> list:
@@ -171,10 +178,10 @@ def _results(r, row) -> list:
         key: r.field(key, kind) for key, kind in row.fields.items() if key not in left_out})
 
 
-_COMPUTE = dict.fromkeys(divergences._FUNCTIONALS, lambda r: r.report(
-    *_results(r, divergences._FUNCTIONALS[r.type]))) | {"named": _named}
-_VERIFY = dict.fromkeys(inequalities._CHECKS, lambda r: r.verdicts(
-    *_results(r, inequalities._CHECKS[r.type])))
+# a named family's task reads its family's row of _NAMED
+_COMPUTE = divergences._FUNCTIONALS | {
+    "named": lambda r: _results(r, divergences._NAMED.row(r.get("family", _STR)))}
+_VERIFY = inequalities._CHECKS
 
 
 def run_compute(spec, emit_integrand=False):
@@ -213,46 +220,29 @@ def _parse_body(spec):
     return geometry.ConvexBody2D(family, **fields)
 
 
-def _functionals(r):
-    fn = geometry.body_functionals(r.ref("body"), r.grid)
-    return {"task": r.type, "body": r.get("body")} | dataclasses.asdict(fn)
+def _densities(r) -> list:
+    """The body's densities p and q as their masses, and their values under `emit`."""
+    entry = {}
+    for key, d in zip("pq", _results(r, geometry.body_densities.row)):
+        entry[f"{key}_mass"] = float(np.dot(d.values, r.grid.weights))
+        if r.emit:
+            entry[key] = d.values.tolist()
+    return [entry]
 
 
-def _densities(r):
-    p, q = geometry.body_densities(r.ref("body"), r.grid)
-    space = r.grid.space()
-    entry = {
-        "task": r.type, "body": r.get("body"),
-        "p_mass": space.integrate(p.values),
-        "q_mass": space.integrate(q.values),
-    }
-    if r.emit:
-        entry["p"] = [float(x) for x in p.values]
-        entry["q"] = [float(x) for x in q.values]
-    return entry
-
-
-def _geometry_ith(r):
-    bodies = r.refs("bodies")
+def _geometry_ith(r) -> list:
+    """The i-th mixed body divergence; its field `bodies` names the two bodies."""
+    bodies = r.field("bodies", "bodies")
     if len(bodies) != 2:
         raise SpecError(f"field 'bodies' in {r.where} needs exactly two bodies, got {len(bodies)}")
-    return r.report(geometry.ith_mixed_body_divergence(
-        r.field("f1", "generator"), r.field("f2", "generator"), bodies[0], bodies[1],
-        r.get("i", _real), r.get("orientation", _STR, "PQ"), r.grid,
-    ))
+    return [geometry.ith_mixed_body_divergence(
+        r.field("f1", "generator"), r.field("f2", "generator"), *bodies,
+        r.field("i", "real"), r.get("orientation", _STR, "PQ"), r.grid)]
 
 
-_GEOMETRY = {
-    "functionals": _functionals,
-    "densities": _densities,
-    "mixed": lambda r: r.report(geometry.mixed_body_divergence(
-        r.field("fs", "generators"), r.refs("bodies"), r.get("orientation", _STR, "PQ"), r.grid,
-    )),
-    "ith": _geometry_ith,
-    "isoperimetric": lambda r: r.verdicts(
-        geometry.isoperimetric_check(r.ref("body"), r.grid), body=r.get("body"),
-    ),
-}
+_GEOMETRY = {"functionals": geometry.body_functionals.row, "densities": _densities,
+             "mixed": geometry.mixed_body_divergence.row, "ith": _geometry_ith,
+             "isoperimetric": geometry.isoperimetric_check.row}
 
 
 def run_geometry(spec, emit_integrand=False):

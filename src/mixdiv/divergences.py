@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ffunctions import (FFunction, FVector, _as_real, _positive, _Registry, adjoint,
                          from_spec, make_builtin, weighted_terms)
-from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace, _measure_space
+from .measures import TOL_NORM, Density, DensityBundle, MeasureSpace, _measure_space, _sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +176,8 @@ class _Check(NamedTuple):
     _FIELD_KINDS ("space" is the task's space, not a field). The function is
     guarded (`_guarded`): called directly or through `results`, it guards
     each argument by its field's kind before its body runs. The `optional`
-    fields, last, are all given or none."""
+    fields are all given or none; they need not come last (a geometry
+    `orientation` comes before its `grid`)."""
 
     check: Callable
     fields: dict
@@ -228,16 +229,9 @@ class _FieldKind(NamedTuple):
     read from a spec task and written into a witness spec."""
 
     guard: Optional[Callable]  # (x, key) -> x, converted where callers rely on it; None: no guard
-    read: Optional[Callable] = None  # (task reader, key) -> the object
+    read: Callable  # (task reader, key) -> the object
     # (key, x, densities) -> x's spec value; a density is named into densities
     write: Callable = lambda key, x, densities: x
-
-
-def _sequence(xs, key):
-    """xs itself; InvalidParameter unless it can be iterated."""
-    if not np.iterable(xs):
-        raise InvalidParameter(f"{key} needs a sequence, got {xs!r}")
-    return xs
 
 
 def _write_density(key, d, densities) -> str:

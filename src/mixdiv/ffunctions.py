@@ -257,6 +257,7 @@ def make_builtin(kind: str, **params) -> FFunction:
 
 def eval_f(f: FFunction, t: float) -> float:
     """Evaluate f at a strictly positive finite real point (a bool is not one)."""
+    _given(f, FFunction)
     try:
         ok = not isinstance(t, bool) and isinstance(t, Real) and math.isfinite(t) and t > 0
     except OverflowError:  # a real beyond the float range
@@ -268,7 +269,7 @@ def eval_f(f: FFunction, t: float) -> float:
 
 def adjoint(f: FFunction) -> FFunction:
     """The *-adjoint f*(t) = t f(1/t), in closed form where available."""
-    return _KINDS[f.kind].adjoint(f)
+    return _KINDS[_given(f, FFunction).kind].adjoint(f)
 
 
 def weighted_term(f: FFunction, p: float, q: float) -> float:
@@ -278,6 +279,12 @@ def weighted_term(f: FFunction, p: float, q: float) -> float:
     p = 0, q > 0: value is q * limit_at_zero.
     A nonzero cofactor against an infinite limit is an error.
     """
+    return _weighted_term(_given(f, FFunction), p, q)
+
+
+def _weighted_term(f: FFunction, p, q) -> float:
+    """weighted_term for a guarded f: the per-atom body of weighted_terms'
+    fallback loop, which guards f once per call."""
     try:
         negative = p < 0 or q < 0
     except (TypeError, ValueError):  # not reals: a string, None, an array
@@ -314,12 +321,13 @@ def weighted_terms(f: FFunction, p: np.ndarray, q: np.ndarray, out=None):
     them there (`into`) and multiplies by q. Falls back to the scalar path
     (with its conventions) when any entry is zero. Returns (values, convention_hits).
     """
+    _given(f, FFunction)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     out = np.empty(p.shape) if out is None else out
     if _positive(p) and _positive(q):
         return np.multiply(q, _KINDS[f.kind].into(f, np.divide(p, q, out=out)), out=out), 0
-    out.flat = [weighted_term(f, pj, qj) for pj, qj in zip(p.ravel().tolist(), q.ravel().tolist())]
+    out.flat = [_weighted_term(f, pj, qj) for pj, qj in zip(p.ravel().tolist(), q.ravel().tolist())]
     return out, int(np.count_nonzero((p == 0.0) | (q == 0.0)))
 
 

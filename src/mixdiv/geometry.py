@@ -18,11 +18,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidParameter, NotC2Plus, SingularMatrix, UnsupportedFamily, _given
-from .divergences import (_FIELD_KINDS, DivergenceReport, _FieldKind, _guarded, _sequence,
-                          ith_mixed, mixed_f_divergence)
+from .divergences import (_FIELD_KINDS, DivergenceReport, _FieldKind, _guarded, ith_mixed,
+                          mixed_f_divergence)
 from .ffunctions import FFunction, FVector, _Registry
 from .inequalities import InequalityVerdict, _verdict
-from .measures import Density, DensityBundle, MeasureSpace, _density_rows
+from .measures import Density, DensityBundle, MeasureSpace, _density_rows, _sequence
 
 
 _BLOCK = 8192  # nodes per block of the body kernels; its temporaries stay in cache
@@ -212,11 +212,13 @@ def unit_disk() -> ConvexBody2D:
     return ellipse(1.0, 1.0)
 
 
-# the geometry kinds of the field-kind table: a list of bodies stays a list
+# the geometry kinds of the field-kind table: a list of bodies stays a list; a
+# spec names its bodies, and its grid is the task's grid, not a field
 _FIELD_KINDS.update(
-    body=_FieldKind(lambda K, key: _given(K, ConvexBody2D)),
-    bodies=_FieldKind(lambda Ks, key: [_given(K, ConvexBody2D) for K in _sequence(Ks, key)]),
-    grid=_FieldKind(lambda grid, key: _given(grid, CircleGrid)),
+    body=_FieldKind(lambda K, key: _given(K, ConvexBody2D), lambda r, key: r.ref(key)),
+    bodies=_FieldKind(lambda Ks, key: [_given(K, ConvexBody2D) for K in _sequence(Ks, key)],
+                      lambda r, key: r.refs(key)),
+    grid=_FieldKind(lambda grid, key: _given(grid, CircleGrid), lambda r, key: r.grid),
 )
 
 
@@ -316,13 +318,16 @@ def _bundles(bodies, grid, orientation):
     return (Q, P) if orientation == "QP" else (P, Q)
 
 
-@_guarded({"fs": "generators", "bodies": "bodies", "orientation": "str", "grid": "grid"})
+@_guarded({"fs": "generators", "bodies": "bodies", "orientation": "str", "grid": "grid"},
+          ("orientation",))
 def mixed_body_divergence(
-    fv: FVector, bodies, orientation: str, grid: CircleGrid
+    fv: FVector, bodies, orientation: Optional[str], grid: CircleGrid
 ) -> DivergenceReport:
+    """The mixed divergence of the bodies' density pairs, one body per
+    generator; orientation "PQ" (the default, None) or "QP" swaps P and Q."""
     if len(bodies) != len(fv):
         raise InvalidParameter("need one body per generator")
-    P, Q = _bundles(bodies, grid, orientation)
+    P, Q = _bundles(bodies, grid, "PQ" if orientation is None else orientation)
     return mixed_f_divergence(fv, P, Q)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BadOrdering,
     DegenerateExponent,
+    InvalidParameter,
     LengthMismatch,
     MixedConvexityTags,
     NonConcaveTag,
@@ -81,8 +82,10 @@ def effective_proportionality(g, h, s: MeasureSpace) -> dict:
     A null vector is proportional to anything. Otherwise the ratio is read
     off the largest entry of g and checked atom by atom.
     """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
+    try:
+        g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(f"g and h must be reals, got {g!r} and {h!r}") from None
     size = _measure_space(s).size
     if g.size != size or h.size != size:
         raise LengthMismatch("vectors do not match the space size")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidParameter,
     LengthMismatch,
     NonPositiveWeight,
     NormalizationFailure,
@@ -57,6 +58,13 @@ def _measure_space(s) -> MeasureSpace:
     if not isinstance(s, MeasureSpace):
         raise SpaceMismatch(f"need a MeasureSpace, got {s!r}")
     return s
+
+
+def _sequence(xs, key):
+    """xs itself, where a sequence enters; InvalidParameter unless it can be iterated."""
+    if not np.iterable(xs):
+        raise InvalidParameter(f"{key} needs a sequence, got {xs!r}")
+    return xs
 
 
 def make_space(weights) -> MeasureSpace:
@@ -116,7 +124,7 @@ def validate_density(
 
     Idempotent and side-effect free: the density is never modified.
     """
-    if len(d) != _measure_space(s).size:
+    if len(_given(d, Density)) != _measure_space(s).size:
         raise LengthMismatch(
             f"density has {len(d)} entries, space has {s.size} atoms"
         )
@@ -176,7 +184,7 @@ class DensityBundle:
 def make_bundle(space: MeasureSpace, vectors, *, validate: bool = True) -> DensityBundle:
     _measure_space(space)
     ds = []
-    for v in vectors:
+    for v in _sequence(vectors, "vectors"):
         d = v if isinstance(v, Density) else Density(v)
         if validate:
             validate_density(d, space, strictly_positive=True, probability=True)

@@ -154,6 +154,22 @@ def test_geometry_ith_task(tmp_path, capsys):
     assert entry["convention_hits"] == 0
 
 
+def test_an_absent_or_none_orientation_reads_as_pq(tmp_path, capsys):
+    fs = [{"kind": "power", "alpha": 0.4}, {"kind": "linear", "a": 0.7, "b": 1.1}]
+    fv, grid = M.FVector(map(M.from_spec, fs)), M.CircleGrid(256)
+    bodies = [M.ellipse(1.3, 0.8, 0.4), M.trigball(0.05, 3)]
+    pq = M.mixed_body_divergence(fv, bodies, "PQ", grid)
+    none = M.mixed_body_divergence(fv, bodies, None, grid)
+    assert none.value == pq.value
+    assert none.integrand.tolist() == pq.integrand.tolist()
+    task = {"type": "mixed", "fs": fs, "bodies": ["E", "T"]}
+    code, out, _ = _run(tmp_path, capsys, "geometry", _body_spec(task), "--emit-integrand")
+    assert code == 0
+    entry = json.loads(out)["results"][0]
+    assert entry["value"] == pq.value
+    assert entry["integrand"] == pq.integrand.tolist()
+
+
 def test_geometry_ith_task_needs_two_bodies(tmp_path, capsys):
     task = {"type": "ith", "f1": POWER, "f2": TV, "bodies": ["E"], "i": 1.0}
     code, out, err = _run(tmp_path, capsys, "geometry", _body_spec(task))

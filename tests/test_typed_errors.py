@@ -18,6 +18,7 @@ from mixdiv import (
     DensityBundle,
     FVector,
     FalsifyConfig,
+    adjoint,
     af_check,
     apply_linear_map,
     body_densities,
@@ -28,6 +29,7 @@ from mixdiv import (
     corollary_bound_check,
     effective_proportionality,
     ellipse,
+    eval_f,
     factor_decomposition,
     falsify,
     from_spec,
@@ -45,11 +47,12 @@ from mixdiv import (
     mixed_k_form,
     named_divergence,
     probability_density,
+    validate_density,
     weighted_term,
 )
 from mixdiv import cli, errors
 from mixdiv.cli import main
-from mixdiv.divergences import _FIELD_KINDS, _FUNCTIONALS, _NAMED
+from mixdiv.divergences import _FIELD_KINDS, _FUNCTIONALS, _NAMED, _Check
 from mixdiv.errors import (
     DegenerateExponent,
     DomainError,
@@ -651,6 +654,16 @@ TYPED_RAISES = {
                                              InvalidParameter),
     "mixed_body_divergence_bodies_none": (lambda: mixed_body_divergence(
         ROOTS, None, "PQ", CircleGrid(64)), InvalidParameter),
+    # the public calls below the field-kind table refuse a generator, a density
+    # or a sequence that is not one where it enters
+    "adjoint_none": (lambda: adjoint(None), InvalidParameter),
+    "eval_f_generator_none": (lambda: eval_f(None, 1.0), InvalidParameter),
+    "weighted_term_generator_none": (lambda: weighted_term(None, 0.5, 0.5), InvalidParameter),
+    "validate_density_none": (lambda: validate_density(None, HALVES), InvalidParameter),
+    "make_bundle_vectors_none": (lambda: make_bundle(HALVES, None), InvalidParameter),
+    # g and h that numpy cannot read as reals, refused where they are read
+    "effective_proportionality_string": (lambda: effective_proportionality("a", [1, 2], HALVES),
+                                         InvalidParameter),
 }
 
 
@@ -736,12 +749,17 @@ def test_a_non_real_parameter_raises_invalid_parameter(call, good, value):
 
 # one valid argument of each kind; a "str" field's value is named by its field
 VALID = {"generator": ROOT, "generators": ROOTS, "density": P_HALF, "densities": P_PAIR,
-         "real": 0.5, "reals": [0.5, 2.0], "int": 1, "space": HALVES}
-VALID_STR = {"case": "concave_band", "kl_orientation": "pq"}
+         "real": 0.5, "reals": [0.5, 2.0], "int": 1, "space": HALVES,
+         "body": ellipse(1.3, 0.8, 0.4), "bodies": [ellipse(1.3, 0.8, 0.4), ellipse(1.0, 1.5)],
+         "grid": CircleGrid(64)}
+VALID_STR = {"case": "concave_band", "kl_orientation": "pq", "orientation": "PQ"}
 # the error of an object of the wrong kind, where it is not InvalidParameter
 KIND_ERRORS = {"space": SpaceMismatch}
+# the geometry rows are those the CLI dispatches to
+GEOMETRY_TASKS = {name: row for name, row in cli._GEOMETRY.items() if isinstance(row, _Check)}
 ROWS = {f"{table}.{name}": row for table, rows in (
-    ("compute", _FUNCTIONALS), ("verify", _CHECKS), ("named", _NAMED)) for name, row in rows.items()}
+    ("compute", _FUNCTIONALS), ("verify", _CHECKS), ("named", _NAMED),
+    ("geometry", GEOMETRY_TASKS)) for name, row in rows.items()}
 GEOMETRY_ROWS = {f.__name__: f.row for f in (
     body_eval, body_functionals, body_densities, mixed_body_divergence, ith_mixed_body_divergence,
     apply_linear_map, isoperimetric_check)}
